@@ -6,6 +6,11 @@ import scala.collection.mutable
   * block references to the weight data *currently* assigned to them (original
   * or representative), return validation accuracy. Implemented by
   * `repro.model.AccuracyEval` adapters; unit tests use analytic stand-ins.
+  *
+  * Contract for callers: a lookup never mutates an array it has already
+  * returned, and a block whose data changed is returned as a different array.
+  * An oracle may therefore detect changed blocks by array identity and
+  * recompute only what they touch (`AccuracyEval.session` does so).
   */
 trait ModelAccuracy {
   def accuracy(lookup: BlockRef => Array[Double]): Double
@@ -112,6 +117,16 @@ final class DedupIndex(config: DedupConfig) {
     g
   }
 
+  /** Blocks in the order Alg. 1 examines them. Magnitude keys are computed
+    * once per block; the sort is stable, so ties keep write order.
+    */
+  private[core] def examOrder(blocks: Vector[TensorBlock]): Vector[TensorBlock] = config.order match {
+    case ExamOrder.MagnitudeAscending =>
+      val keys = blocks.map(b => Magnitude.thirdQuartile(b.data))
+      blocks.indices.sortBy(keys).map(blocks).toVector
+    case ExamOrder.Natural => blocks
+  }
+
   // -- public API ----------------------------------------------------------
 
   /** Index one model's tensors (Alg. 1). `eval` is consulted only when the
@@ -121,11 +136,7 @@ final class DedupIndex(config: DedupConfig) {
     */
   def addModel(tensors: Seq[Tensor], eval: Option[ModelAccuracy]): ModelDedupStats = {
     val blocks: Vector[TensorBlock] = tensors.iterator.flatMap(_.blocks).toVector
-    val ordered = config.order match {
-      case ExamOrder.MagnitudeAscending =>
-        blocks.sortBy(b => Magnitude.thirdQuartile(b.data))
-      case ExamOrder.Natural => blocks
-    }
+    val ordered = examOrder(blocks)
     // Current weight assignment for this model, mutated as blocks merge.
     val current = mutable.HashMap.empty[BlockRef, Array[Double]]
     blocks.foreach(b => current(b.ref) = b.data)

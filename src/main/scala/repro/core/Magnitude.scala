@@ -22,7 +22,8 @@ object Magnitude {
   /** p-th percentile (p in [0,100]) of absolute values, linear interpolation. */
   def percentile(v: Array[Double], p: Double): Double = {
     require(v.nonEmpty && p >= 0 && p <= 100)
-    val abs = v.map(math.abs).sorted
+    val abs = v.map(math.abs)
+    java.util.Arrays.sort(abs)
     if (abs.length == 1) return abs(0)
     val rank = p / 100.0 * (abs.length - 1)
     val lo = rank.toInt

@@ -47,11 +47,14 @@ object Scenarios {
     def modelIds: Seq[Int] = models.map(_.id)
   }
 
-  /** Adapter from the forward-pass surrogate to the index's accuracy oracle. */
+  /** Adapter from the forward-pass surrogate to the index's accuracy oracle:
+    * one incremental session per model, dropped with the adapter once
+    * `addModel` returns.
+    */
   final class EvalAdapter(eval: AccuracyEval, model: Model, lbls: Array[Boolean])
       extends ModelAccuracy {
-    override def accuracy(lookup: BlockRef => Array[Double]): Double =
-      eval.accuracy(model, lbls, lookup)
+    private val session = eval.session(model, lbls)
+    override def accuracy(lookup: BlockRef => Array[Double]): Double = session.accuracy(lookup)
   }
 
   /** The no-dedup problem: every logical block is its own item. */

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.model.ModelGen
 import scala.util.Random
 
 class DedupIndexSpec extends AnyFunSuite {
@@ -241,5 +242,37 @@ class DedupIndexSpec extends AnyFunSuite {
     val idx = Detectors.proposed(dim)
     val s = idx.addModel(Seq(mkTensor(1, Seq(vec(1)))), None)
     assert(s.accuracyBefore == 1.0 && s.accuracyAfter == 1.0 && !s.stoppedEarly)
+  }
+
+  // -- exam order (Sec. 4.3 Steps 1–2) ----------------------------------------
+
+  private def assertMagnitudeOrder(blocks: Vector[TensorBlock]): Unit = {
+    val idx = Detectors.proposed(blocks.head.data.length)
+    assert(idx.examOrder(blocks).map(_.ref) ==
+      blocks.sortBy(b => Magnitude.thirdQuartile(b.data)).map(_.ref))
+  }
+
+  test("exam order equals sorting by 3rd-quartile magnitude on word2vec models") {
+    val (_, models) = ModelGen.word2vecFamily(2)
+    models.foreach(m => assertMagnitudeOrder(m.tensors.flatMap(_.blocks)))
+  }
+
+  test("exam order equals sorting by 3rd-quartile magnitude on ffnn models") {
+    ModelGen.ffnnFamily(2).foreach(m => assertMagnitudeOrder(m.tensors.flatMap(_.blocks)))
+  }
+
+  test("exam order is stable: blocks with tied magnitudes keep write order") {
+    val base = vec(3)
+    // Sign flips and a reversal keep every block's multiset of |w|.
+    val tied = Seq(base, base.map(-_), base.reverse, base.map(math.abs), vec(4, 0.1), base.reverse.map(-_))
+    val t = mkTensor(9, tied)
+    assertMagnitudeOrder(t.blocks)
+    val order = Detectors.proposed(dim).examOrder(t.blocks).map(_.ref.blockId.row)
+    assert(order == Vector(4, 0, 1, 2, 3, 5))
+  }
+
+  test("natural exam order is write order") {
+    val t = mkTensor(9, Seq(vec(5, 2.0), vec(6, 0.1), vec(7)))
+    assert(Detectors.mistiqueExact().examOrder(t.blocks) == t.blocks)
   }
 }

@@ -74,6 +74,19 @@ class MagnitudeSpec extends AnyFunSuite {
     }
   }
 
+  test("property: percentile equals interpolation over Scala's sorted |v| bit for bit") {
+    val withZeros = Gen.nonEmptyListOf(Gen.frequency(
+      4 -> Gen.chooseNum(-1e6, 1e6), 1 -> Gen.oneOf(0.0, -0.0))).map(_.toArray)
+    forAll2(withZeros, Gen.chooseNum(0.0, 100.0)) { (v, p) =>
+      val abs = v.map(math.abs).sorted
+      val rank = p / 100.0 * (abs.length - 1)
+      val lo = rank.toInt
+      val hi = math.min(lo + 1, abs.length - 1)
+      val expected = if (abs.length == 1) abs(0) else abs(lo) * (1 - (rank - lo)) + abs(hi) * (rank - lo)
+      assert(Magnitude.percentile(v, p) == expected)
+    }
+  }
+
   test("property: percentile is scale-equivariant") {
     forAll2(vecGen, Gen.chooseNum(0.1, 10.0)) { (v, s) =>
       val a = Magnitude.percentile(v.map(_ * s), 75)

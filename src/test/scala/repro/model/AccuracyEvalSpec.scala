@@ -82,6 +82,18 @@ class AccuracyEvalSpec extends AnyFunSuite {
     assert(base - acc < 0.03, s"drift cost too much: $base -> $acc")
   }
 
+  test("labels equal the per-example scale formula for word2vec and textClass models") {
+    val evalSeed = 77L
+    for ((fam, ms) <- Seq(word2vecFamily(2), textClassFamily())) {
+      val ev = new AccuracyEval(fam, numExamples = 300, seed = evalSeed)
+      for (m <- ms.take(2); noise <- Seq(0.05, 0.65)) {
+        val expected = ReferenceForward.labels(ev, fam.shape, m, noise, evalSeed)
+        assert(ev.labels(m, noise).toSeq == expected.toSeq, s"${m.name} noise $noise")
+      }
+      assert(ev.logitScale(ms.head) == ReferenceForward.logitScale(ev, fam.shape, ms.head))
+    }
+  }
+
   test("logitScale is positive and deterministic") {
     val s1 = eval.logitScale(models(2)); val s2 = eval.logitScale(models(2))
     assert(s1 > 0 && s1 == s2)
