@@ -32,12 +32,18 @@ case object Mru extends Policy { val name = "MRU" }
   *                     rates of ALL sharers (Eq. 7); when false a page is
   *                     credited only a single model's mean rate
   * @param rates        per-model access rate (arrivals per tick)
-  * @param horizon      the look-ahead window t of Eq. 7, in ticks
   */
 final case class LocalitySetPolicy(innerMru: Boolean, sharingAware: Boolean,
-                                   rates: Map[Int, Double], horizon: Double) extends Policy {
+                                   rates: Map[Int, Double]) extends Policy {
   val name: String =
     (if (sharingAware) "Optimized-" else "LocalitySet-") + (if (innerMru) "M" else "L")
+}
+
+object LocalitySetPolicy {
+  /** The look-ahead window t of Eq. 7, in ticks: one tick, the unit in
+    * which `rates` are given.
+    */
+  val Horizon: Double = 1.0
 }
 
 /** Trace-driven buffer pool simulator over virtual-size pages.
@@ -68,8 +74,8 @@ final class BufferPool(val capacityBytes: Long, val policy: Policy,
   private def pReuseOf(f: Frame): Double = policy match {
     case p: LocalitySetPolicy =>
       val rs = f.meta.sharers.toSeq.map(m => p.rates.getOrElse(m, 0.0))
-      if (p.sharingAware) EvictionCost.pReuse(rs, p.horizon)
-      else EvictionCost.pReuse(Seq(if (rs.isEmpty) 0.0 else rs.sum / rs.size), p.horizon)
+      if (p.sharingAware) EvictionCost.pReuse(rs, LocalitySetPolicy.Horizon)
+      else EvictionCost.pReuse(Seq(if (rs.isEmpty) 0.0 else rs.sum / rs.size), LocalitySetPolicy.Horizon)
     case _ => 0.0
   }
 

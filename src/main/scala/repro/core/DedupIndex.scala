@@ -41,7 +41,21 @@ sealed trait MatcherSpec
   * bit-exact equality with the representative on a hit (exact dedup).
   */
 final case class SignatureMatcher(hasher: BlockHasher, bands: Int = 1,
-                                  verifyContent: Boolean = false) extends MatcherSpec
+                                  verifyContent: Boolean = false) extends MatcherSpec {
+
+  /** Index keys of a block: its signature split into `bands` bands, each
+    * tagged with its band number so equal chunks of different bands never
+    * collide. One band keys on the whole signature.
+    */
+  def keys(data: Array[Double]): Seq[String] = {
+    val sig = hasher.signature(data)
+    if (bands <= 1) Seq("0:" + sig.key)
+    else {
+      val per = math.max(1, sig.values.size / bands)
+      sig.values.grouped(per).zipWithIndex.map { case (chunk, i) => s"$i:${chunk.mkString(",")}" }.toSeq
+    }
+  }
+}
 /** Linear scan over group representatives, collide when L2 <= threshold. */
 final case class PairwiseMatcher(threshold: Double) extends MatcherSpec
 
@@ -63,7 +77,7 @@ final case class ModelDedupStats(modelId: Int, accuracyBefore: Double, accuracyA
   * configured with a different matcher/order/gate, realizes every baseline
   * detector of Sec. 7.3 (see [[Detectors]]).
   */
-final class DedupIndex(config: DedupConfig) {
+final class DedupIndex(val config: DedupConfig) {
 
   /** A similarity group: representative (index into L) + member refs. */
   final class Group(val id: Int, val repIdx: Int) {
@@ -81,39 +95,32 @@ final class DedupIndex(config: DedupConfig) {
 
   // -- internal matching ---------------------------------------------------
 
-  private def bandKeys(sig: Signature): Seq[String] = config.matcher match {
-    case SignatureMatcher(_, bands, _) if bands > 1 =>
-      val per = math.max(1, sig.values.size / bands)
-      sig.values.grouped(per).zipWithIndex.map { case (chunk, i) => s"$i:${chunk.mkString(",")}" }.toSeq
-    case _ => Seq("0:" + sig.key)
-  }
-
-  /** Find the group this block would join, or None. Timed for Table 9. */
-  private def probe(block: TensorBlock): Option[Group] = {
+  /** Find the group this block would join, or None, together with the
+    * block's signature keys (empty for pairwise matching) so that a new
+    * group reuses them. Timed for Table 9.
+    */
+  private def probe(block: TensorBlock): (Option[Group], Seq[String]) = {
     val t0 = System.nanoTime()
     val res = config.matcher match {
-      case SignatureMatcher(hasher, _, verify) =>
-        val keys = bandKeys(hasher.signature(block.data))
-        keys.iterator.flatMap(bySig.get).find { g =>
-          !verify || distinctBuf(g.repIdx).sameContent(block)
+      case m: SignatureMatcher =>
+        val keys = m.keys(block.data)
+        val hit = keys.iterator.flatMap(bySig.get).find { g =>
+          !m.verifyContent || distinctBuf(g.repIdx).sameContent(block)
         }
+        (hit, keys)
       case PairwiseMatcher(threshold) =>
-        groups.iterator.find(g => distinctBuf(g.repIdx).l2(block) <= threshold)
+        (groups.iterator.find(g => distinctBuf(g.repIdx).l2(block) <= threshold), Nil)
     }
     probeNanosTotal += System.nanoTime() - t0
     probesTotal += 1
     res
   }
 
-  private def newGroup(block: TensorBlock): Group = {
+  private def newGroup(block: TensorBlock, keys: Seq[String]): Group = {
     distinctBuf += block
     val g = new Group(groups.size, distinctBuf.size - 1)
     groups += g
-    config.matcher match {
-      case SignatureMatcher(hasher, _, _) =>
-        bandKeys(hasher.signature(block.data)).foreach(k => if (!bySig.contains(k)) bySig(k) = g)
-      case _ => ()
-    }
+    keys.foreach(k => if (!bySig.contains(k)) bySig(k) = g)
     g
   }
 
@@ -132,10 +139,19 @@ final class DedupIndex(config: DedupConfig) {
   /** Index one model's tensors (Alg. 1). `eval` is consulted only when the
     * config has a gate; pass None for exact dedup or accuracy-free runs.
     *
+    * A model with no blocks, or with a block whose length differs from the
+    * index's dimension (the length of the first block the index stored, else
+    * of this model's first block), is rejected before the index changes.
+    *
     * @return this model's stats; mappings accumulate in [[mapping]].
     */
   def addModel(tensors: Seq[Tensor], eval: Option[ModelAccuracy]): ModelDedupStats = {
     val blocks: Vector[TensorBlock] = tensors.iterator.flatMap(_.blocks).toVector
+    require(blocks.nonEmpty, s"model with tensors ${tensors.map(_.id).mkString("[", ",", "]")} has no blocks")
+    val dim = distinctBuf.headOption.getOrElse(blocks.head).data.length
+    for (t <- tensors; b <- t.blocks if b.data.length != dim)
+      throw new IllegalArgumentException(s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
+        s"has length ${b.data.length}, index dimension is $dim")
     val ordered = examOrder(blocks)
     // Current weight assignment for this model, mutated as blocks merge.
     val current = mutable.HashMap.empty[BlockRef, Array[Double]]
@@ -156,21 +172,21 @@ final class DedupIndex(config: DedupConfig) {
       while (j < upTo) {
         val b = ordered(j)
         probe(b) match {
-          case Some(g) if !stopped =>
+          case (Some(g), _) if !stopped =>
             g.members += b.ref
             refToGroup(b.ref) = g
             mappingBuf(b.ref) = g.repIdx
             current(b.ref) = distinctBuf(g.repIdx).data
             merged += 1
-          case Some(g) =>
+          case (Some(g), _) =>
             // Gate tripped: record membership but keep a private distinct copy
             // (Sec. 4.3 Step 4 — the block is NOT replaced).
             g.members += b.ref
             refToGroup(b.ref) = g
             distinctBuf += b
             mappingBuf(b.ref) = distinctBuf.size - 1
-          case None =>
-            val g = newGroup(b)
+          case (None, keys) =>
+            val g = newGroup(b, keys)
             g.members += b.ref
             refToGroup(b.ref) = g
             mappingBuf(b.ref) = g.repIdx
@@ -185,7 +201,7 @@ final class DedupIndex(config: DedupConfig) {
     }
     if (eval.isDefined) a = eval.get.accuracy(lookup)
     ModelDedupStats(
-      modelId = tensors.headOption.map(_.id).getOrElse(-1),
+      modelId = tensors.head.id,
       accuracyBefore = a0, accuracyAfter = a,
       merged = merged, total = blocks.size, stoppedEarly = stopped,
       probeNanos = probeNanosTotal - probeStart, probes = probesTotal - probesStart)
@@ -223,9 +239,8 @@ final class DedupIndex(config: DedupConfig) {
       mappingBuf.remove(ref)
       if (g.members.isEmpty) {
         config.matcher match {
-          case SignatureMatcher(hasher, _, _) =>
-            bandKeys(hasher.signature(distinctBuf(g.repIdx).data))
-              .foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
+          case m: SignatureMatcher =>
+            m.keys(distinctBuf(g.repIdx).data).foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
           case _ => ()
         }
         groups -= g

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 
 /** Executor-side half of the deduplication pipeline (DESIGN.md §4): LSH
   * signatures and aggregated magnitudes are computed per partition over a
@@ -17,48 +17,20 @@ object DedupSpark {
   final case class BlockMeta(tensorId: Int, blockRow: Int, blockCol: Int,
                              magnitude: Double, bandKeys: Seq[String])
 
-  /** Band keys of a signature, matching DedupIndex's banding layout. */
-  def bandKeysOf(sig: Signature, bands: Int): Seq[String] =
-    if (bands <= 1) Seq("0:" + sig.key)
-    else {
-      val per = math.max(1, sig.values.size / bands)
-      sig.values.grouped(per).zipWithIndex
-        .map { case (chunk, i) => s"$i:${chunk.mkString(",")}" }.toSeq
-    }
-
-  /** Compute signature band keys + 3rd-quartile magnitudes for every block,
-    * one hasher instance per partition (hashers are deterministic in their
-    * seed, so partitioning never changes results).
+  /** Compute index keys + 3rd-quartile magnitudes for every block, with one
+    * matcher per partition built as `Detectors.proposed` builds its own
+    * (hashers are deterministic in their seed, so partitioning never changes
+    * results).
     */
   def blockMetadata(spark: SparkSession, blocks: Dataset[BlockInput],
                     dim: Int, k: Int, w: Double, bands: Int, seed: Long): Dataset[BlockMeta] = {
     import spark.implicits._
     blocks.mapPartitions { it =>
-      val hasher = new L2Lsh(dim, k, w, seed)
+      val matcher = SignatureMatcher(new L2Lsh(dim, k, w, seed), bands)
       it.map { b =>
-        BlockMeta(b.tensorId, b.blockRow, b.blockCol,
-          Magnitude.thirdQuartile(b.data),
-          bandKeysOf(hasher.signature(b.data), bands))
+        BlockMeta(b.tensorId, b.blockRow, b.blockCol, Magnitude.thirdQuartile(b.data), matcher.keys(b.data))
       }
     }
-  }
-
-  /** Candidate duplicate pairs via a distributed self-equijoin on band keys
-    * (the LSH-join formulation of similarity join [65]): blocks sharing any
-    * band key are candidates for the same group.
-    */
-  def candidatePairs(spark: SparkSession, meta: Dataset[BlockMeta]): DataFrame = {
-    import org.apache.spark.sql.functions._
-    val keyed = meta.toDF()
-      .select(col("tensorId"), col("blockRow"), col("blockCol"),
-        explode(col("bandKeys")) as "key")
-    val a = keyed.toDF("t1", "r1", "c1", "key")
-    val b = keyed.toDF("t2", "r2", "c2", "key")
-    a.join(b, "key")
-      .where(col("t1") < col("t2") ||
-        (col("t1") === col("t2") && (col("r1") < col("r2") ||
-          (col("r1") === col("r2") && col("c1") < col("c2")))))
-      .select("t1", "r1", "c1", "t2", "r2", "c2").distinct()
   }
 
   /** Convenience: lift driver-side tensors into the block relation. */

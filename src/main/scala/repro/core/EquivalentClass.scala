@@ -1,36 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
 /** Equivalent classes of distinct tensor blocks (Sec. 5.3): blocks owned by
   * the same set of tensors are interchangeable for page packing.
-  *
-  * Two implementations: a driver-side one used by the packing algorithms
-  * (inputs are small — thousands of distinct blocks), and a Spark one — the
-  * per-partition grouping operator the reproduction hint calls for — used
-  * when ownership is derived at scale from a block-mapping DataFrame.
   */
 object EquivalentClass {
 
-  /** Driver-side: owners(item) -> tensor set; returns classes keyed by the
-    * owning-tensor set, items in ascending order for determinism.
+  /** owners(item) -> tensor set; returns classes keyed by the owning-tensor
+    * set, items in ascending order for determinism.
     */
   def classesLocal(owners: Map[Int, Set[Int]]): Map[Set[Int], Vector[Int]] =
     owners.toVector
       .groupBy(_._2)
       .map { case (ts, pairs) => ts -> pairs.map(_._1).sorted }
-
-  /** Spark path: input rows (item: Long, tensorId: Long); output rows
-    * (ownerKey: String, items: Array[Long]) where ownerKey is the sorted
-    * comma-joined owning tensor ids. Ownership aggregation shuffles by item;
-    * class formation shuffles by owner set — both Catalyst-planned.
-    */
-  def classesSpark(spark: SparkSession, itemOwners: DataFrame): DataFrame = {
-    itemOwners
-      .groupBy(col("item"))
-      .agg(array_join(sort_array(collect_set(col("tensorId"))), ",") as "ownerKey")
-      .groupBy(col("ownerKey"))
-      .agg(sort_array(collect_list(col("item"))) as "items")
-  }
 }

@@ -76,8 +76,10 @@ object PagePacking {
   final case class Packing(pages: Vector[Vector[Int]]) {
     def numPages: Int = pages.size
 
-    /** Physically stored pages after identical-page elimination. */
-    def distinctPages: Vector[Set[Int]] = pages.map(_.toSet).distinct
+    /** Physically stored pages after identical-page elimination; computed
+      * once, since `pagesOf` and `coversExactly` index into it per page.
+      */
+    lazy val distinctPages: Vector[Set[Int]] = pages.map(_.toSet).distinct
 
     def numDistinctPages: Int = distinctPages.size
 

@@ -31,18 +31,7 @@ final case class TensorBlock(ref: BlockRef, data: Array[Double], virtualBytes: L
     math.sqrt(s)
   }
 
-  /** Exact-content fingerprint (bit-exact, order-sensitive). */
-  def contentHash: Long = {
-    var h = 1125899906842597L // large prime
-    var i = 0
-    while (i < data.length) {
-      h = 31 * h + java.lang.Double.doubleToLongBits(data(i))
-      i += 1
-    }
-    h
-  }
-
-  /** Bit-exact content equality (contentHash can collide; this cannot). */
+  /** Bit-exact content equality (`ExactHasher` signatures can collide; this cannot). */
   def sameContent(other: TensorBlock): Boolean =
     data.length == other.data.length &&
       java.util.Arrays.equals(data, other.data)

@@ -1,8 +1,8 @@
 package repro.device
 
 /** Analytic storage-device cost model (DESIGN.md §2): a page transfer costs
-  * one seek plus bytes/bandwidth. Parameters approximate the paper's AWS
-  * r4.xlarge volumes (128 GB gp2 SSD, 128 GB HDD).
+  * one seek plus bytes/bandwidth. The tables' calibrated SSD/HDD presets are
+  * `repro.experiments.Scenarios.SsdEff`, `HddEff` and `HddSeq`.
   */
 final case class StorageDevice(name: String, seekSeconds: Double,
                                readMBps: Double, writeMBps: Double) {
@@ -13,12 +13,6 @@ final case class StorageDevice(name: String, seekSeconds: Double,
 }
 
 object StorageDevice {
-  /** gp2-class SSD: sub-ms latency, a few hundred MB/s. */
-  val Ssd: StorageDevice = StorageDevice("SSD", seekSeconds = 2e-4, readMBps = 450, writeMBps = 350)
-
-  /** Throughput-limited spinning disk: long seeks, modest bandwidth. */
-  val Hdd: StorageDevice = StorageDevice("HDD", seekSeconds = 9e-3, readMBps = 120, writeMBps = 100)
-
   /** Main-memory "device" used by the TensorFlow baseline's TF-mem source. */
   val Ram: StorageDevice = StorageDevice("RAM", seekSeconds = 0.0, readMBps = 10000, writeMBps = 10000)
 }
@@ -26,18 +20,11 @@ object StorageDevice {
 /** Where the TensorFlow baseline loads its input features from (Table 3/8):
   * local memory, a local CSV file, or a PostgreSQL BLOB column. The factor
   * multiplies raw device read time — CSV parsing and JDBC/BLOB
-  * deserialization cost several times the raw byte transfer.
+  * deserialization cost several times the raw byte transfer. The tables'
+  * calibrated file and database sources are defined next to Tables 3 and 8.
   */
-sealed abstract class InputSource(val name: String, val overheadFactor: Double)
+final case class InputSource(name: String, overheadFactor: Double)
 object InputSource {
-  case object Memory extends InputSource("TF-mem", 1.0)
-  /** CSV: textual parse ~6x raw transfer. */
-  case object CsvFile extends InputSource("TF-file", 6.0)
-  /** DB BLOB via JDBC: result-set marshalling ~2.5x raw transfer. */
-  case object Database extends InputSource("TF-DB", 2.5)
-  /** Scenario-specific source (e.g. the paper's 400-BLOB-column PostgreSQL
-    * table, whose per-byte cost exceeds the single-BLOB case).
-    */
-  final case class Custom(override val name: String, override val overheadFactor: Double)
-    extends InputSource(name, overheadFactor)
+  /** Memory is read at RAM speed, whatever the factor. */
+  val Memory: InputSource = InputSource("TF-mem", 1.0)
 }

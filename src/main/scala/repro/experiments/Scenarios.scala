@@ -154,9 +154,9 @@ object Scenarios {
     // The optimized configuration is the paper's Optimized-M: sharing-aware
     // cost model with MRU inside each locality set (stable retention under
     // repeated scans). The baseline configurations are LocalitySet-L.
-    val policy = LocalitySetPolicy(innerMru = optimized, sharingAware = optimized, rates, horizon = 1.0)
+    val policy = LocalitySetPolicy(innerMru = optimized, sharingAware = optimized, rates)
     val cfg = ServingConfig(device, poolBytes, policy, computePerModel, inputBytes,
-      probeRounds, PageBytes, pinnedPerModel)
+      probeRounds, pinnedPerModel)
     new InferenceEngine(store, cfg, b.tensorToModel).serveAll(models, b.modelTensors)
   }
 

@@ -10,8 +10,8 @@ import repro.storage.{PageId, PageStore}
   * A model inference batch performs `probeRounds` passes over the model's
   * weight pages — the repeated probing of the join hash map built from the
   * parameter pages, one pass per input sub-batch — interleaved with reads of
-  * the (model-independent) input pages. Compute cost is charged evenly
-  * across rounds.
+  * the (model-independent) input pages, which have the store's page size.
+  * Compute cost is charged evenly across rounds.
   *
   * @param computeSecondsPerModel CPU time for one batch of inferences
   * @param inputBytes             size of the input feature batch
@@ -23,8 +23,7 @@ import repro.storage.{PageId, PageStore}
   */
 final case class ServingConfig(device: StorageDevice, poolBytes: Long, policy: Policy,
                                computeSecondsPerModel: Double, inputBytes: Long,
-                               probeRounds: Int = 8, pageBytes: Long = 64L << 20,
-                               pinnedBytesPerModel: Long = 0L)
+                               probeRounds: Int = 8, pinnedBytesPerModel: Long = 0L)
 
 final case class ServingReport(totalSeconds: Double, ioSeconds: Double,
                                computeSeconds: Double, hitRatio: Double,
@@ -42,9 +41,9 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
     * through the buffer pool, misses charge device time.
     */
   def serveAll(models: Seq[Int], modelTensors: Map[Int, Seq[Int]]): ServingReport = {
-    val effective = math.max(cfg.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
+    val effective = math.max(store.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
     val pool = new BufferPool(effective, cfg.policy, cfg.device)
-    val inputPages = math.max(1L, cfg.inputBytes / cfg.pageBytes).toInt
+    val inputPages = math.max(1L, cfg.inputBytes / store.pageBytes).toInt
     val allModels = models.toSet
     var io = 0.0
     for (m <- models) {
@@ -53,7 +52,7 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
       // streams it); weight pages are probed once per input sub-batch.
       // Input pages use negative ids so they never clash with store pages.
       for (p <- 0 until inputPages)
-        io += pool.read(-1 - p, PageMeta(cfg.pageBytes, "input", allModels))
+        io += pool.read(-1 - p, PageMeta(store.pageBytes, "input", allModels))
       for (_ <- 0 until cfg.probeRounds) {
         for (id <- pages) {
           val shared = store.refCount(id) > 1

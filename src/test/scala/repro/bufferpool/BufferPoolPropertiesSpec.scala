@@ -13,8 +13,8 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
   private def policies(rnd: Random): Seq[Policy] = {
     val rates = (1 to 4).map(_ -> rnd.nextDouble()).toMap
     Seq(Lru, Mru,
-      LocalitySetPolicy(innerMru = false, sharingAware = false, rates, 1.0),
-      LocalitySetPolicy(innerMru = true, sharingAware = true, rates, 1.0))
+      LocalitySetPolicy(innerMru = false, sharingAware = false, rates),
+      LocalitySetPolicy(innerMru = true, sharingAware = true, rates))
   }
 
   private def randomTrace(rnd: Random, n: Int): Seq[(Int, PageMeta)] =

@@ -79,7 +79,7 @@ class BufferPoolSpec extends AnyFunSuite {
   test("sharing-aware policy keeps shared pages over equally-recent private pages") {
     val rates = Map(1 -> 0.2, 2 -> 0.2, 3 -> 0.2)
     val pool = new BufferPool(20 * MB,
-      LocalitySetPolicy(innerMru = false, sharingAware = true, rates, horizon = 1.0), dev)
+      LocalitySetPolicy(innerMru = false, sharingAware = true, rates), dev)
     pool.read(1, meta("shared", sharers = Set(1, 2, 3)))
     pool.read(2, meta("private", sharers = Set(1)))
     pool.read(3, meta("private", sharers = Set(1))) // must evict: picks private (lower p_reuse)
@@ -90,7 +90,7 @@ class BufferPoolSpec extends AnyFunSuite {
   test("non-sharing-aware locality policy treats shared pages like private ones") {
     val rates = Map(1 -> 0.2, 2 -> 0.2, 3 -> 0.2)
     val pool = new BufferPool(20 * MB,
-      LocalitySetPolicy(innerMru = false, sharingAware = false, rates, horizon = 1.0), dev)
+      LocalitySetPolicy(innerMru = false, sharingAware = false, rates), dev)
     pool.read(1, meta("shared", sharers = Set(1, 2, 3)))
     pool.read(2, meta("private", sharers = Set(1)))
     pool.read(3, meta("private", sharers = Set(1)))
@@ -115,8 +115,8 @@ class BufferPoolSpec extends AnyFunSuite {
   test("multi-model trace: dedup-aware policy beats locality-set, which beats LRU") {
     val rates = Map(1 -> 0.2, 2 -> 0.2, 3 -> 0.2)
     val lru = serveTrace(Lru)
-    val ls = serveTrace(LocalitySetPolicy(innerMru = true, sharingAware = false, rates, 1.0))
-    val opt = serveTrace(LocalitySetPolicy(innerMru = true, sharingAware = true, rates, 1.0))
+    val ls = serveTrace(LocalitySetPolicy(innerMru = true, sharingAware = false, rates))
+    val opt = serveTrace(LocalitySetPolicy(innerMru = true, sharingAware = true, rates))
     assert(opt >= ls, s"optimized $opt < locality-set $ls")
     assert(opt > lru, s"optimized $opt <= LRU $lru")
   }

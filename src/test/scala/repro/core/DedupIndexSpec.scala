@@ -244,6 +244,36 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(s.accuracyBefore == 1.0 && s.accuracyAfter == 1.0 && !s.stoppedEarly)
   }
 
+  // -- rejected input (the index must not change) -----------------------------
+
+  private def state(idx: DedupIndex) =
+    (idx.mapping, idx.owners, idx.distinct.map(_.ref), idx.numGroups, idx.avgProbeSeconds)
+
+  test("addModel rejects mixed block lengths before changing the index") {
+    val idx = Detectors.proposed(dim)
+    val small = vec(1, scale = 0.05)
+    idx.addModel(Seq(mkTensor(1, Seq(small, vec(2)))), None)
+    val before = state(idx)
+    // In magnitude order the mergeable copy of `small` comes before the short block.
+    val bad = mkTensor(2, Seq(Array(5.0, 5.0), small.clone()))
+    val e = intercept[IllegalArgumentException](idx.addModel(Seq(bad), None))
+    assert(e.getMessage.contains("tensor t2") && e.getMessage.contains("length 2, index dimension is 16"))
+    assert(state(idx) == before)
+    // A fresh index takes its dimension from the model's first block.
+    val fresh = Detectors.mistiqueExact()
+    intercept[IllegalArgumentException](fresh.addModel(Seq(mkTensor(3, Seq(vec(4), Array(1.0)))), None))
+    assert(fresh.numDistinct == 0 && fresh.mapping.isEmpty)
+  }
+
+  test("addModel rejects a model with no blocks before changing the index") {
+    val idx = Detectors.proposed(dim)
+    idx.addModel(Seq(mkTensor(1, Seq(vec(1)))), None)
+    val before = state(idx)
+    intercept[IllegalArgumentException](idx.addModel(Nil, None))
+    intercept[IllegalArgumentException](idx.addModel(Seq(mkTensor(2, Nil)), None))
+    assert(state(idx) == before)
+  }
+
   // -- exam order (Sec. 4.3 Steps 1–2) ----------------------------------------
 
   private def assertMagnitudeOrder(blocks: Vector[TensorBlock]): Unit = {

@@ -3,7 +3,6 @@ package repro.core
 import repro.SparkSpec
 import repro.model.ModelGen
 import repro.model.ModelGen.EmbeddingShape
-import scala.util.Random
 
 class DedupSparkSpec extends SparkSpec {
 
@@ -18,14 +17,22 @@ class DedupSparkSpec extends SparkSpec {
   test("executor-side metadata matches the driver-side hasher and magnitude") {
     val blocks = DedupSpark.toBlockInputs(spark, tensors)
     val meta = DedupSpark.blockMetadata(spark, blocks, dim, k, w, bands, seed).collect()
-    val hasher = new L2Lsh(dim, k, w, seed)
+    val matcher = Detectors.proposed(dim, k, w, bands, seed).config.matcher.asInstanceOf[SignatureMatcher]
     val byRef = meta.map(m => (m.tensorId, m.blockRow, m.blockCol) -> m).toMap
     assert(meta.length == tensors.map(_.numBlocks).sum)
     for (t <- tensors; b <- t.blocks) {
       val m = byRef((b.ref.tensorId, b.ref.blockId.row, b.ref.blockId.col))
       assert(m.magnitude == Magnitude.thirdQuartile(b.data))
-      assert(m.bandKeys == DedupSpark.bandKeysOf(hasher.signature(b.data), bands))
+      assert(m.bandKeys == matcher.keys(b.data))
     }
+  }
+
+  // The band keys DedupSpark ships to executors are SignatureMatcher.keys.
+  test("bandKeysOf: single band is the whole signature; bands partition it") {
+    val fixed = new BlockHasher { def signature(v: Array[Double]) = Signature(Vector(1, 2, 3, 4, 5, 6)) }
+    val block = Array.fill(dim)(1.0)
+    assert(SignatureMatcher(fixed).keys(block) == Seq("0:1,2,3,4,5,6"))
+    assert(SignatureMatcher(fixed, bands = 3).keys(block) == Seq("0:1,2", "1:3,4", "2:5,6"))
   }
 
   test("metadata is invariant under repartitioning (per-partition hashers are deterministic)") {
@@ -36,43 +43,5 @@ class DedupSparkSpec extends SparkSpec {
       .collect().sortBy(m => (m.tensorId, m.blockRow, m.blockCol)).toSeq
     assert(one.map(m => (m.tensorId, m.blockRow, m.blockCol, m.magnitude, m.bandKeys)) ==
       many.map(m => (m.tensorId, m.blockRow, m.blockCol, m.magnitude, m.bandKeys)))
-  }
-
-  test("bandKeysOf: single band is the whole signature; bands partition it") {
-    val sig = Signature(Vector(1, 2, 3, 4, 5, 6))
-    assert(DedupSpark.bandKeysOf(sig, 1) == Seq("0:1,2,3,4,5,6"))
-    assert(DedupSpark.bandKeysOf(sig, 3) == Seq("0:1,2", "1:3,4", "2:5,6"))
-  }
-
-  test("candidate pairs include every identical cross-tensor block pair") {
-    // Two tensors sharing identical blocks at every position (frozen copies).
-    val rnd = new Random(3)
-    def block(i: Int) = Array.fill(dim)(rnd.nextGaussian())
-    val datas = Vector.tabulate(4)(block)
-    def mk(id: Int) = Tensor(id, s"t$id", 4, 1, Vector.tabulate(4)(i =>
-      TensorBlock(BlockRef(id, BlockId(i, 0)), datas(i).clone(), 8L)))
-    val blocks = DedupSpark.toBlockInputs(spark, Seq(mk(1), mk(2)))
-    val meta = DedupSpark.blockMetadata(spark, blocks, dim, k, w, bands, seed)
-    val pairs = DedupSpark.candidatePairs(spark, meta).collect()
-      .map(r => ((r.getInt(0), r.getInt(1)), (r.getInt(3), r.getInt(4)))).toSet
-    for (i <- 0 until 4)
-      assert(pairs.contains(((1, i), (2, i))), s"missing identical pair at row $i")
-  }
-
-  test("candidate pairs are deduplicated and ordered (no self or mirrored pairs)") {
-    val blocks = DedupSpark.toBlockInputs(spark, tensors)
-    val meta = DedupSpark.blockMetadata(spark, blocks, dim, k, w, bands, seed)
-    val rows = DedupSpark.candidatePairs(spark, meta).collect().map(r =>
-      ((r.getInt(0), r.getInt(1), r.getInt(2)), (r.getInt(3), r.getInt(4), r.getInt(5))))
-    assert(rows.forall { case (a, b) => implicitly[Ordering[(Int, Int, Int)]].lt(a, b) })
-    assert(rows.distinct.length == rows.length)
-  }
-
-  test("finetuned models produce many cross-model candidates (the dedup signal)") {
-    val blocks = DedupSpark.toBlockInputs(spark, tensors)
-    val meta = DedupSpark.blockMetadata(spark, blocks, dim, k, w, bands, seed)
-    val cross = DedupSpark.candidatePairs(spark, meta).collect().count(r => r.getInt(0) != r.getInt(3))
-    assert(cross > shape.numBlocks / 2,
-      s"expected many cross-model candidate pairs, got $cross")
   }
 }

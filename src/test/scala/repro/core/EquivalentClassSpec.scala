@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 
 class EquivalentClassSpec extends AnyFunSuite {
 
@@ -23,32 +22,5 @@ class EquivalentClassSpec extends AnyFunSuite {
     val cls = EquivalentClass.classesLocal(owners)
     val all = cls.values.flatten.toVector
     assert(all.sorted == (0 until 50).toVector)
-  }
-}
-
-/** Spark path checked against the driver-side implementation. */
-class EquivalentClassSparkSpec extends SparkSpec {
-
-  test("classesSpark matches classesLocal on a random ownership relation") {
-    import spark.implicits._
-    val owners: Map[Int, Set[Int]] =
-      (0 until 200).map(i => i -> Set(1 + i % 4, 1 + i % 5)).toMap
-    val rows = owners.toSeq.flatMap { case (i, ts) => ts.map(t => (i.toLong, t.toLong)) }
-    val df = rows.toDF("item", "tensorId")
-    val got = EquivalentClass.classesSpark(spark, df).collect().map { r =>
-      r.getString(0) -> r.getSeq[Long](1).map(_.toInt).toVector
-    }.toMap
-    val expected = EquivalentClass.classesLocal(owners).map { case (ts, items) =>
-      ts.toVector.sorted.mkString(",") -> items
-    }
-    assert(got == expected)
-  }
-
-  test("classesSpark handles a single-tensor relation") {
-    import spark.implicits._
-    val df = Seq((1L, 9L), (2L, 9L)).toDF("item", "tensorId")
-    val got = EquivalentClass.classesSpark(spark, df).collect()
-    assert(got.length == 1)
-    assert(got.head.getSeq[Long](1).toVector == Vector(1L, 2L))
   }
 }

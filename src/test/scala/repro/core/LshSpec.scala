@@ -111,6 +111,8 @@ class LshSpec extends AnyFunSuite {
     val v = randVec(rnd)
     assert(h.signature(v) == h.signature(v.clone()))
     assert(h.signature(v) != h.signature(perturb(v, rnd, 1e-12)))
+    val ulp = v.clone(); ulp(dim - 1) = Math.nextUp(ulp(dim - 1))
+    assert(h.signature(v) != h.signature(ulp))
   }
 
   test("Signature.key is injective on distinct signatures") {

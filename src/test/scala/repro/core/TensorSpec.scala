@@ -52,13 +52,11 @@ class TensorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](a.l2(b))
   }
 
-  test("contentHash equal for equal content, differs on a single-ulp change") {
+  test("sameContent holds for equal content, fails on a single-ulp change") {
     val a = blk(1, 0, 0, Array(1.0, 2.0, 3.0))
     val b = blk(2, 5, 5, Array(1.0, 2.0, 3.0))
     val c = blk(1, 0, 0, Array(1.0, 2.0, Math.nextUp(3.0)))
-    assert(a.contentHash == b.contentHash)
     assert(a.sameContent(b))
-    assert(a.contentHash != c.contentHash)
     assert(!a.sameContent(c))
   }
 

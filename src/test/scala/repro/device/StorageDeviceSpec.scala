@@ -1,6 +1,7 @@
 package repro.device
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.experiments.Scenarios.{HddEff, SsdEff}
 
 class StorageDeviceSpec extends AnyFunSuite {
 
@@ -12,25 +13,20 @@ class StorageDeviceSpec extends AnyFunSuite {
 
   test("HDD page reads are far slower than SSD") {
     val page = 64L << 20
-    assert(StorageDevice.Hdd.readSeconds(page) > 3 * StorageDevice.Ssd.readSeconds(page))
+    assert(HddEff.readSeconds(page) > 3 * SsdEff.readSeconds(page))
   }
 
   test("RAM reads are far faster than SSD") {
     val page = 64L << 20
-    assert(StorageDevice.Ram.readSeconds(page) < StorageDevice.Ssd.readSeconds(page) / 5)
+    assert(StorageDevice.Ram.readSeconds(page) < SsdEff.readSeconds(page) / 5)
   }
 
   test("zero bytes costs only the seek") {
-    assert(StorageDevice.Hdd.readSeconds(0) == StorageDevice.Hdd.seekSeconds)
+    assert(HddEff.readSeconds(0) == HddEff.seekSeconds)
   }
 
   test("invalid device parameters are rejected") {
     intercept[IllegalArgumentException](StorageDevice("bad", -1, 100, 100))
     intercept[IllegalArgumentException](StorageDevice("bad", 0, 0, 100))
-  }
-
-  test("input sources order: memory is cheapest, CSV parsing most expensive") {
-    assert(InputSource.Memory.overheadFactor < InputSource.Database.overheadFactor)
-    assert(InputSource.Database.overheadFactor < InputSource.CsvFile.overheadFactor)
   }
 }

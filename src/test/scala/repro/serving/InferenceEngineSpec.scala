@@ -30,7 +30,7 @@ class InferenceEngineSpec extends AnyFunSuite {
 
   private def cfg(pool: Long, rounds: Int = 2) = ServingConfig(
     device = dev, poolBytes = pool, policy = Lru,
-    computeSecondsPerModel = 1.0, inputBytes = 10 * MB, probeRounds = rounds, pageBytes = 10 * MB)
+    computeSecondsPerModel = 1.0, inputBytes = 10 * MB, probeRounds = rounds)
 
   private val tensorToModel = Map(1 -> 1, 2 -> 2)
   private val modelTensors = Map(1 -> Seq(1), 2 -> Seq(2))
@@ -64,7 +64,7 @@ class InferenceEngineSpec extends AnyFunSuite {
 
   test("shared pages hit across models even with a small pool and optimized policy") {
     val rates = Map(1 -> 0.5, 2 -> 0.5)
-    val opt = LocalitySetPolicy(innerMru = true, sharingAware = true, rates, horizon = 1.0)
+    val opt = LocalitySetPolicy(innerMru = true, sharingAware = true, rates)
     val store = dedupStore
     val cOpt = cfg(40 * MB).copy(policy = opt)
     val rOpt = new InferenceEngine(store, cOpt, tensorToModel).serveAll(Seq(1, 2), modelTensors)

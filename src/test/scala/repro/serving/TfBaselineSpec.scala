@@ -1,13 +1,17 @@
 package repro.serving
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.device.{InputSource, StorageDevice}
+import repro.device.InputSource
+import repro.experiments.Scenarios.SsdEff
 
 class TfBaselineSpec extends AnyFunSuite {
 
   private val GB = 1L << 30
   private def cfg(memGb: Long, source: InputSource = InputSource.Memory) =
-    TfConfig(memGb * GB, StorageDevice.Ssd, source)
+    TfConfig(memGb * GB, SsdEff, source)
+
+  private val Database = InputSource("TF-DB", 2.5)
+  private val CsvFile = InputSource("TF-file", 6.0)
 
   test("fails when the working set exceeds memory (paper's Failed cells)") {
     val r = TfBaseline.serve(cfg(30), modelBytes = Seq.fill(6)(4 * GB),
@@ -31,16 +35,16 @@ class TfBaselineSpec extends AnyFunSuite {
     def run(src: InputSource) =
       TfBaseline.serve(cfg(100, src), Seq(GB), 4 * GB, GB, 1.0).toOption.get
     val mem = run(InputSource.Memory)
-    val db = run(InputSource.Database)
-    val file = run(InputSource.CsvFile)
+    val db = run(Database)
+    val file = run(CsvFile)
     assert(mem < db && db < file, s"mem=$mem db=$db file=$file")
   }
 
   test("custom source allows scenario-specific overheads (400-BLOB table)") {
-    val slowDb = InputSource.Custom("TF-DB", 8.0)
+    val slowDb = InputSource("TF-DB", 8.0)
     def run(src: InputSource) =
       TfBaseline.serve(cfg(100, src), Seq(GB), 4 * GB, GB, 1.0).toOption.get
-    assert(run(slowDb) > run(InputSource.CsvFile))
+    assert(run(slowDb) > run(CsvFile))
   }
 
   test("computeFactor scales compute (GPU FP64 penalty / FFNN speedup)") {
