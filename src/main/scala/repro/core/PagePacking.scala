@@ -83,10 +83,12 @@ object PagePacking {
 
     def numDistinctPages: Int = distinctPages.size
 
-    /** Pages (indices into distinctPages) usable by tensor t: fully contained. */
+    /** Pages (indices into distinctPages) usable by tensor t: fully contained.
+      * Items are indices into L, hence non-negative, so a bit set holds t's.
+      */
     def pagesOf(p: Problem, t: Int): Vector[Int] = {
-      val set = p.tensors(t).toSet
-      distinctPages.zipWithIndex.collect { case (pg, i) if pg.subsetOf(set) => i }
+      val set = mutable.BitSet.empty ++= p.tensors(t)
+      distinctPages.indices.filter(i => distinctPages(i).forall(set)).toVector
     }
 
     /** Constraint (5): the union of tensor-contained pages is exactly the set. */
@@ -113,30 +115,42 @@ object PagePacking {
   }
 
   // -----------------------------------------------------------------------
-  // Greedy-1 (Alg. 2): equivalent-class-based divide and conquer.
+  // Stage 1 / Greedy-1 (Alg. 2): equivalent-class-based divide and conquer.
   // -----------------------------------------------------------------------
-  def greedy1(p: Problem): Packing = {
-    val classes = EquivalentClass.classesLocal(p.owners)
-    // Deterministic class order: larger classes first, then by owner key.
-    val ordered = classes.toVector.sortBy { case (ts, items) =>
+
+  /** Walks the equivalent classes once, larger class first, then by owner
+    * key. Each class first adopts the `existing` pages that lie inside it
+    * without overlapping one another (online packing keeps them), then
+    * chunks its remaining items in storage order. Returns every page in that
+    * order, flagged `true` when it is a fresh chunk.
+    */
+  private def stage1(p: Problem, existing: Vector[Set[Int]]): Vector[(Vector[Int], Boolean)] = {
+    lazy val liveItems = p.tensors.values.flatten.toSet
+    val available = existing.distinct.filter(pg => pg.nonEmpty && pg.subsetOf(liveItems))
+    val classes = EquivalentClass.classesLocal(p.owners).toVector.sortBy { case (ts, items) =>
       (-items.size, ts.toVector.sorted.mkString(","))
     }
-    Packing(ordered.flatMap { case (_, items) => p.byPosition(items).grouped(p.l).toVector })
+    classes.flatMap { case (_, items) =>
+      val itemSet = items.toSet
+      val covered = mutable.Set.empty[Int]
+      val adopted = available.filter { pg =>
+        val fits = pg.subsetOf(itemSet) && pg.forall(i => !covered.contains(i))
+        if (fits) covered ++= pg
+        fits
+      }
+      adopted.map(pg => (pg.toVector.sorted, false)) ++
+        p.byPosition(items.filterNot(covered)).grouped(p.l).map((_, true))
+    }
   }
+
+  def greedy1(p: Problem): Packing = Packing(stage1(p, Vector.empty).map(_._1))
 
   // -----------------------------------------------------------------------
   // Greedy-2 (Alg. 3): largest-tensor-first, reuse maximal page subsets,
   // hottest-block-first within the remainder.
   // -----------------------------------------------------------------------
-  def greedy2(p: Problem): Packing = greedy2Into(p, Vector.empty)
-
-  /** Alg. 3 seeded with pre-existing pages (used by the two-stage strategy's
-    * second stage and by online packing). Existing pages are candidates for
-    * reuse but are not re-emitted; only newly created pages are returned.
-    */
-  private def greedy2Into(p: Problem, preexisting: Vector[Vector[Int]]): Packing = {
-    val bins = mutable.ArrayBuffer[Vector[Int]](preexisting: _*)
-    val created = mutable.ArrayBuffer.empty[Vector[Int]]
+  def greedy2(p: Problem): Packing = {
+    val bins = mutable.ArrayBuffer.empty[Vector[Int]]
     val order = p.tensors.toVector.sortBy { case (tid, items) => (-items.size, tid) }
     for ((_, items) <- order) {
       val set = items.toSet
@@ -154,65 +168,34 @@ object PagePacking {
         if (best != null) { covered ++= best; progress = true }
       }
       val delta = items.filterNot(covered)
-      if (delta.nonEmpty) {
-        val byFreq = delta.sortBy(i => (-p.sharingFreq(i), i))
-        for (page <- byFreq.grouped(p.l)) {
-          bins += page.toVector
-          created += page.toVector
-        }
-      }
+      bins ++= delta.sortBy(i => (-p.sharingFreq(i), i)).grouped(p.l)
     }
-    Packing(preexisting ++ created)
+    Packing(bins.toVector)
   }
 
   // -----------------------------------------------------------------------
-  // Two-stage (Sec. 5.4): Alg. 2 first; items stranded in non-full pages are
-  // repacked with Alg. 3.
+  // Two-stage (Sec. 5.3-5.4): stage 1, then the items stranded in its
+  // non-full fresh pages are repacked with Alg. 3.
   // -----------------------------------------------------------------------
-  def twoStage(p: Problem): Packing = {
-    val stage1 = greedy1(p)
-    val (full, nonFull) = stage1.pages.partition(_.size == p.l)
-    if (nonFull.size <= 1) return stage1
-    val strandedItems = nonFull.flatten.toSet
-    val sub = p.restrict(strandedItems)
-    val stage2 = greedy2(sub)
-    val candidate = Packing(full ++ stage2.pages)
-    // Repacking can duplicate hot items across per-tensor pages; keep the
-    // stage-1 scheme when that outweighs the non-full-page savings.
-    if (candidate.numDistinctPages <= stage1.numDistinctPages) candidate else stage1
-  }
+  def twoStage(p: Problem): Packing = twoStageReusing(p, Vector.empty)
 
-  /** Two-stage packing that prefers to KEEP existing pages (Sec. 5.4
-    * "Online Packing": only the pages that need to change are repacked).
-    * Stage 1 first adopts any existing page whose items all fall inside the
-    * current equivalent class (and don't double-cover), then chunks only the
-    * remainder; stage 2 repacks the non-full fresh pages as usual.
+  /** Two-stage packing that keeps the `existing` pages stage 1 adopts (Sec.
+    * 5.4 "Online Packing": only the pages that need to change are repacked).
+    * Stage 2 repacks the non-full fresh pages; its result replaces them only
+    * if it needs no more distinct pages, else stage 1's pages stand in their
+    * class order.
     */
   def twoStageReusing(p: Problem, existing: Vector[Set[Int]]): Packing = {
-    val classes = EquivalentClass.classesLocal(p.owners).toVector.sortBy { case (ts, items) =>
-      (-items.size, ts.toVector.sorted.mkString(","))
-    }
-    val liveItems = p.tensors.values.flatten.toSet
-    val available = existing.distinct.filter(pg => pg.nonEmpty && pg.subsetOf(liveItems))
-    val reused = mutable.ArrayBuffer.empty[Vector[Int]]
-    val fresh = mutable.ArrayBuffer.empty[Vector[Int]]
-    for ((_, items) <- classes) {
-      val itemSet = items.toSet
-      val covered = mutable.Set.empty[Int]
-      for (pg <- available if pg.subsetOf(itemSet) && pg.forall(i => !covered.contains(i))) {
-        reused += pg.toVector.sorted
-        covered ++= pg
-      }
-      fresh ++= p.byPosition(items.filterNot(covered)).grouped(p.l).map(_.toVector)
-    }
-    val (full, nonFull) = fresh.partition(_.size == p.l)
-    val base = (reused ++ full).toVector
-    if (nonFull.size <= 1) Packing(base ++ nonFull)
+    val pages = stage1(p, existing)
+    val stage1Packing = Packing(pages.map(_._1))
+    val stranded = pages.collect { case (pg, true) if pg.size < p.l => pg }
+    if (stranded.size <= 1) stage1Packing
     else {
-      val sub = p.restrict(nonFull.flatten.toSet)
-      val candidate = Packing(base ++ greedy2(sub).pages)
-      val plain = Packing(base ++ nonFull)
-      if (candidate.numDistinctPages <= plain.numDistinctPages) candidate else plain
+      val kept = pages.collect { case (pg, fresh) if !fresh || pg.size == p.l => pg }
+      val candidate = Packing(kept ++ greedy2(p.restrict(stranded.flatten.toSet)).pages)
+      // Repacking can duplicate hot items across per-tensor pages; keep
+      // stage 1 when that outweighs the non-full-page savings.
+      if (candidate.numDistinctPages <= stage1Packing.numDistinctPages) candidate else stage1Packing
     }
   }
 
@@ -228,8 +211,7 @@ object PagePacking {
     *                owners must describe the FINAL ownership (the index knows,
     *                at each step, which earlier tensors share each block).
     */
-  def online(owners: Map[Int, Set[Int]], arrival: Vector[(Int, Vector[Int])], l: Int,
-             packer: (Problem, Vector[Set[Int]]) => Packing = twoStageReusing): OnlineResult = {
+  def online(owners: Map[Int, Set[Int]], arrival: Vector[(Int, Vector[Int])], l: Int): OnlineResult = {
     var currentPages = Vector.empty[Set[Int]]
     val steps = mutable.ArrayBuffer.empty[OnlineStep]
     val seen = mutable.ArrayBuffer.empty[(Int, Vector[Int])]
@@ -241,7 +223,7 @@ object PagePacking {
         i -> owners(i).intersect(presentTensors)
       }.toMap
       val prob = Problem(presentOwners, seen.toMap, l)
-      val next = packer(prob, currentPages).distinctPages
+      val next = twoStageReusing(prob, currentPages).distinctPages
       val prev = currentPages
       val reused = next.count(prev.contains)
       val discarded = prev.count(pg => !next.contains(pg))

@@ -41,6 +41,11 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
     * through the buffer pool, misses charge device time.
     */
   def serveAll(models: Seq[Int], modelTensors: Map[Int, Seq[Int]]): ServingReport = {
+    val held = store.tensors
+    for (m <- models) {
+      require(modelTensors.contains(m), s"model $m has no tensors in modelTensors")
+      for (t <- modelTensors(m)) require(held(t), s"model $m: tensor $t is not in the page store")
+    }
     val effective = math.max(store.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
     val pool = new BufferPool(effective, cfg.policy, cfg.device)
     val inputPages = math.max(1L, cfg.inputBytes / store.pageBytes).toInt
@@ -55,8 +60,7 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
         io += pool.read(-1 - p, PageMeta(store.pageBytes, "input", allModels))
       for (_ <- 0 until cfg.probeRounds) {
         for (id <- pages) {
-          val shared = store.refCount(id) > 1
-          val set = if (shared) "shared" else s"weights-$m"
+          val set = if (store.isShared(id)) "shared" else s"weights-$m"
           io += pool.read(id.value, PageMeta(store.page(id).bytes, set, sharersOf(id)))
         }
       }

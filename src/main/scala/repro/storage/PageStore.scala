@@ -9,106 +9,73 @@ final case class PageId(value: Int) extends AnyVal
 /** One stored page: the distinct-block items it holds and its size. */
 final case class StoredPage(id: PageId, items: Set[Int], bytes: Long)
 
-/** The tensor-aware page store (Sec. 3): each tensor owns an array of
-  * private pages plus references into a special shared-page set. Reference
-  * counts drive removal semantics: removing a tensor deletes its private
-  * pages, decrements shared refcounts, and demotes a shared page to the
-  * surviving owner's private set once its refcount drops to 1. An update is
-  * a removal followed by an insertion.
+/** The tensor-aware page store (Sec. 3). It keeps one fact per page: the
+  * tensors that own it. A page with one owner is that tensor's private page,
+  * a page with more is shared, and its reference count is its number of
+  * owners. Removing a tensor drops it from its pages' owner sets and deletes
+  * the pages left with no owner; a shared page whose other owners are gone
+  * is private from then on. An update is a removal, a re-pack and a load.
   */
 final class PageStore(val pageBytes: Long) {
 
-  private val pagesById = mutable.LinkedHashMap.empty[PageId, StoredPage]
-  private val ownersOf = mutable.HashMap.empty[PageId, mutable.Set[Int]]
-  private val privateOf = mutable.HashMap.empty[Int, mutable.LinkedHashSet[PageId]]
-  private val sharedRefsOf = mutable.HashMap.empty[Int, mutable.LinkedHashSet[PageId]]
-  private var nextId = 0
+  /** Pages by `PageId.value`, which `load` assigns densely; null once removed. */
+  private var pages = Array.empty[StoredPage]
+  /** The ownership record: the tensors owning each page, by `PageId.value`. */
+  private var ownersOf = Array.empty[Set[Int]]
+  /** Each tensor's pages, in PageId order. */
+  private val pagesOfTensor = mutable.HashMap.empty[Int, Vector[PageId]]
+  private var live = 0
 
-  private def freshId(): PageId = { val id = PageId(nextId); nextId += 1; id }
-
-  /** Materialize a packing scheme: one stored page per distinct page, owners
-    * derived from exact-cover containment; page assigned private vs shared
-    * by ownership cardinality.
+  /** Materialize a packing scheme into an empty store: one stored page per
+    * distinct page, owned by every tensor whose item set contains it. Fails
+    * when those pages do not cover a tensor's items (constraint 5).
     */
   def load(packing: Packing, problem: Problem): Unit = {
+    require(live == 0 && pagesOfTensor.isEmpty, "load expects an empty store")
     val distinct = packing.distinctPages
-    val ids = distinct.map { items =>
-      val id = freshId()
-      pagesById(id) = StoredPage(id, items, pageBytes)
-      ownersOf(id) = mutable.Set.empty
-      id
-    }
-    for (t <- problem.tensors.keys; pi <- packing.pagesOf(problem, t))
-      ownersOf(ids(pi)) += t
-    for ((id, owners) <- ownersOf if pagesById.contains(id)) {
-      if (owners.size == 1)
-        privateOf.getOrElseUpdate(owners.head, mutable.LinkedHashSet.empty) += id
-      else
-        owners.foreach(t => sharedRefsOf.getOrElseUpdate(t, mutable.LinkedHashSet.empty) += id)
+    pages = Array.tabulate(distinct.size)(i => StoredPage(PageId(i), distinct(i), pageBytes))
+    ownersOf = Array.fill(distinct.size)(Set.empty[Int])
+    live = distinct.size
+    for ((t, items) <- problem.tensors) {
+      val contained = packing.pagesOf(problem, t)
+      val covered = mutable.BitSet.empty
+      contained.foreach(covered ++= distinct(_))
+      val missing = items.filterNot(covered)
+      require(missing.isEmpty, s"packing does not exactly cover tensor $t (constraint 5): " +
+        s"${missing.size} items lie on no page inside it: ${missing.sorted.take(10).mkString(", ")}" +
+        (if (missing.size > 10) ", ..." else ""))
+      contained.foreach(pi => ownersOf(pi) += t)
+      pagesOfTensor(t) = contained.map(PageId)
     }
   }
 
-  def page(id: PageId): StoredPage = pagesById(id)
-  def allPages: Vector[StoredPage] = pagesById.values.toVector
-  def numPages: Int = pagesById.size
-  def totalBytes: Long = pagesById.valuesIterator.map(_.bytes).sum
+  def page(id: PageId): StoredPage = {
+    val pg = if (pages.isDefinedAt(id.value)) pages(id.value) else null
+    if (pg == null) throw new NoSuchElementException(s"no page $id")
+    pg
+  }
+  def allPages: Vector[StoredPage] = pages.iterator.filter(_ != null).toVector
+  def numPages: Int = live
+  def totalBytes: Long = allPages.map(_.bytes).sum
 
-  def refCount(id: PageId): Int = ownersOf.get(id).map(_.size).getOrElse(0)
-  def owners(id: PageId): Set[Int] = ownersOf.get(id).map(_.toSet).getOrElse(Set.empty)
+  def owners(id: PageId): Set[Int] = if (ownersOf.isDefinedAt(id.value)) ownersOf(id.value) else Set.empty
+  def refCount(id: PageId): Int = owners(id).size
 
-  def privatePages(tensor: Int): Vector[PageId] =
-    privateOf.get(tensor).map(_.toVector).getOrElse(Vector.empty)
+  /** A page is shared when two or more tensors own it, else private. */
+  def isShared(id: PageId): Boolean = refCount(id) > 1
 
-  def sharedPages(tensor: Int): Vector[PageId] =
-    sharedRefsOf.get(tensor).map(_.toVector).getOrElse(Vector.empty)
+  def privatePages(tensor: Int): Vector[PageId] = pagesOfTensor.getOrElse(tensor, Vector.empty).filterNot(isShared)
+  def sharedPages(tensor: Int): Vector[PageId] = pagesOfTensor.getOrElse(tensor, Vector.empty).filter(isShared)
 
   /** Every page a tensor needs, private first then shared references. */
   def pagesOf(tensor: Int): Vector[PageId] = privatePages(tensor) ++ sharedPages(tensor)
 
-  def tensors: Set[Int] = (privateOf.keySet ++ sharedRefsOf.keySet).toSet
+  def tensors: Set[Int] = pagesOfTensor.keySet.toSet
 
   /** Remove a tensor (Sec. 3 "Model Removal and Updates"). */
-  def removeTensor(tensor: Int): Unit = {
-    for (id <- privateOf.remove(tensor).getOrElse(mutable.LinkedHashSet.empty)) {
-      pagesById.remove(id); ownersOf.remove(id)
+  def removeTensor(tensor: Int): Unit =
+    for (id <- pagesOfTensor.remove(tensor).getOrElse(Vector.empty)) {
+      ownersOf(id.value) -= tensor
+      if (ownersOf(id.value).isEmpty) { pages(id.value) = null; live -= 1 }
     }
-    for (id <- sharedRefsOf.remove(tensor).getOrElse(mutable.LinkedHashSet.empty)) {
-      val os = ownersOf(id)
-      os -= tensor
-      if (os.size == 1) {
-        // Demote to the last owner's private set.
-        val last = os.head
-        sharedRefsOf.get(last).foreach(_ -= id)
-        privateOf.getOrElseUpdate(last, mutable.LinkedHashSet.empty) += id
-      }
-    }
-  }
-
-  /** Insert a tensor with explicit private pages and references to existing
-    * shared pages (the page-level face of "update = remove + insert").
-    */
-  def insertTensor(tensor: Int, privateItems: Seq[Set[Int]], sharedWith: Seq[PageId]): Vector[PageId] = {
-    val newIds = privateItems.toVector.map { items =>
-      val id = freshId()
-      pagesById(id) = StoredPage(id, items, pageBytes)
-      ownersOf(id) = mutable.Set(tensor)
-      privateOf.getOrElseUpdate(tensor, mutable.LinkedHashSet.empty) += id
-      id
-    }
-    for (id <- sharedWith) {
-      require(pagesById.contains(id), s"unknown shared page $id")
-      val os = ownersOf(id)
-      // A previously-private page referenced by a second tensor becomes shared.
-      if (os.size == 1 && !os.contains(tensor)) {
-        val prev = os.head
-        privateOf.get(prev).foreach(_ -= id)
-        sharedRefsOf.getOrElseUpdate(prev, mutable.LinkedHashSet.empty) += id
-      }
-      if (!os.contains(tensor)) {
-        os += tensor
-        sharedRefsOf.getOrElseUpdate(tensor, mutable.LinkedHashSet.empty) += id
-      }
-    }
-    newIds
-  }
 }

@@ -119,4 +119,12 @@ class LshSpec extends AnyFunSuite {
     assert(Signature(Vector(1, 23)).key != Signature(Vector(12, 3)).key)
     assert(Signature(Vector(1, 23)).key == Signature(Vector(1, 23)).key)
   }
+
+  // Band keys of SignatureMatcher.keys, the one key path of the index.
+  test("bandKeysOf: single band is the whole signature; bands partition it") {
+    val fixed = new BlockHasher { def signature(v: Array[Double]) = Signature(Vector(1, 2, 3, 4, 5, 6)) }
+    val block = Array.fill(dim)(1.0)
+    assert(SignatureMatcher(fixed).keys(block) == Seq("0:1,2,3,4,5,6"))
+    assert(SignatureMatcher(fixed, bands = 3).keys(block) == Seq("0:1,2", "1:3,4", "2:5,6"))
+  }
 }

@@ -126,30 +126,16 @@ class PagePackingSpec extends AnyFunSuite {
 
   test("property: random problems — all algorithms are correct, two-stage <= greedy1") {
     val rnd = new Random(42)
-    for (trial <- 1 to 25) {
-      val nTensors = 2 + rnd.nextInt(4)
-      val nItems = 5 + rnd.nextInt(40)
-      val l = 1 + rnd.nextInt(5)
-      val owners = (0 until nItems).map { i =>
-        val k = 1 + rnd.nextInt(nTensors)
-        i -> rnd.shuffle((1 to nTensors).toVector).take(k).toSet
+    for (trial <- 1 to 25; p <- PagePackingSpec.randomProblem(rnd)) {
+      val results = allAlgs.map { case (name, alg) =>
+        val pk = alg(p)
+        assert(pk.capacityRespected(p.l), s"trial $trial $name capacity")
+        for (t <- p.tensors.keys)
+          assert(pk.coversExactly(p, t), s"trial $trial $name tensor $t not covered")
+        name -> pk.numDistinctPages
       }.toMap
-      val tensors = (1 to nTensors).flatMap { t =>
-        val items = owners.collect { case (i, ts) if ts(t) => i }.toVector
-        if (items.isEmpty) None else Some(t -> rnd.shuffle(items))
-      }.toMap
-      if (tensors.nonEmpty) {
-        val p = Problem(owners.view.filterKeys(tensors.values.flatten.toSet).toMap, tensors, l)
-        val results = allAlgs.map { case (name, alg) =>
-          val pk = alg(p)
-          assert(pk.capacityRespected(l), s"trial $trial $name capacity")
-          for (t <- p.tensors.keys)
-            assert(pk.coversExactly(p, t), s"trial $trial $name tensor $t not covered")
-          name -> pk.numDistinctPages
-        }.toMap
-        assert(results("twoStage") <= results("greedy1"),
-          s"trial $trial: twoStage ${results("twoStage")} > greedy1 ${results("greedy1")}")
-      }
+      assert(results("twoStage") <= results("greedy1"),
+        s"trial $trial: twoStage ${results("twoStage")} > greedy1 ${results("greedy1")}")
     }
   }
 
@@ -205,5 +191,28 @@ class PagePackingSpec extends AnyFunSuite {
     assert(p.tensors(1).size == 2) // dup collapsed
     assert(p.tensors(1).head == idx.mapping(BlockRef(1, BlockId(0, 0))))
     assert(p.owners.keySet == p.tensors(1).toSet)
+  }
+}
+
+object PagePackingSpec {
+
+  /** A seeded random packing problem: 2-5 tensors over 5-44 items, each item
+    * owned by a random non-empty tensor subset, capacity 1-5; `None` when no
+    * tensor drew an item.
+    */
+  def randomProblem(rnd: Random): Option[Problem] = {
+    val nTensors = 2 + rnd.nextInt(4)
+    val nItems = 5 + rnd.nextInt(40)
+    val l = 1 + rnd.nextInt(5)
+    val owners = (0 until nItems).map { i =>
+      val k = 1 + rnd.nextInt(nTensors)
+      i -> rnd.shuffle((1 to nTensors).toVector).take(k).toSet
+    }.toMap
+    val tensors = (1 to nTensors).flatMap { t =>
+      val items = owners.collect { case (i, ts) if ts(t) => i }.toVector
+      if (items.isEmpty) None else Some(t -> rnd.shuffle(items))
+    }.toMap
+    if (tensors.isEmpty) None
+    else Some(Problem(owners.view.filterKeys(tensors.values.flatten.toSet).toMap, tensors, l))
   }
 }

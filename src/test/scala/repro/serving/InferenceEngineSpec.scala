@@ -93,4 +93,16 @@ class InferenceEngineSpec extends AnyFunSuite {
     val two = new InferenceEngine(store, cfg(100 * MB), tensorToModel).serveAll(Seq(1, 2), modelTensors)
     assert(two.totalSeconds > one.totalSeconds)
   }
+
+  test("serveAll rejects a model with no tensor list, naming the model") {
+    val eng = new InferenceEngine(dedupStore, cfg(1000 * MB), tensorToModel)
+    val e = intercept[IllegalArgumentException](eng.serveAll(Seq(1, 3), modelTensors))
+    assert(e.getMessage.contains("model 3"), e.getMessage)
+  }
+
+  test("serveAll rejects a tensor the store does not hold, naming the model and the tensor") {
+    val eng = new InferenceEngine(dedupStore, cfg(1000 * MB), tensorToModel)
+    val e = intercept[IllegalArgumentException](eng.serveAll(Seq(1, 2), modelTensors + (2 -> Seq(2, 9))))
+    assert(e.getMessage.contains("model 2") && e.getMessage.contains("tensor 9"), e.getMessage)
+  }
 }

@@ -1,7 +1,9 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.PagePackingSpec
 import repro.core.PagePacking.{Packing, Problem, twoStage}
+import scala.util.Random
 
 class PageStoreSpec extends AnyFunSuite {
 
@@ -68,37 +70,41 @@ class PageStoreSpec extends AnyFunSuite {
     assert(store.tensors.isEmpty)
   }
 
-  test("insertTensor creates private pages and promotes referenced private pages to shared") {
-    val (store, _) = loadedStore
-    store.removeTensor(1) // t2 now owns everything; former shared pages are private
-    val demoted = store.privatePages(2).filter(id => store.page(id).items.subsetOf(Set(0, 1, 2, 3)))
-    assert(demoted.nonEmpty)
-    val created = store.insertTensor(3, privateItems = Seq(Set(8, 9)), sharedWith = demoted)
-    assert(created.size == 1)
-    assert(store.privatePages(3) == created)
-    demoted.foreach { id =>
-      assert(store.refCount(id) == 2)
-      assert(store.sharedPages(3).contains(id))
-      assert(store.sharedPages(2).contains(id))
-      assert(!store.privatePages(2).contains(id))
+  test("load fails when a packing does not exactly cover a tensor (constraint 5)") {
+    // The no-dedup packing of the same two tensors: t2's items 6 and 7 lie on
+    // no page inside t2's item set of the dedup problem.
+    val plain = Problem(owners = (0 to 5).map(_ -> Set(1)).toMap ++ (10 to 15).map(_ -> Set(2)).toMap,
+      tensors = Map(1 -> (0 to 5).toVector, 2 -> (10 to 15).toVector), l = 2)
+    val e = intercept[IllegalArgumentException] {
+      new PageStore(pageBytes = 64L << 20).load(twoStage(plain), problem)
     }
+    assert(e.getMessage.contains("tensor 2"), e.getMessage)
+    assert(e.getMessage.contains("6, 7"), e.getMessage)
   }
 
-  test("insertTensor rejects references to unknown pages") {
-    val (store, _) = loadedStore
-    intercept[IllegalArgumentException] {
-      store.insertTensor(9, Seq.empty, Seq(PageId(999)))
+  test("property: random removal orders keep owners, refcounts and exact cover consistent") {
+    val rnd = new Random(11)
+    for (trial <- 1 to 25; p <- PagePackingSpec.randomProblem(rnd)) {
+      val store = new PageStore(pageBytes = 1L)
+      store.load(twoStage(p), p)
+      var live = p.tensors.keySet
+      for (t <- rnd.shuffle(p.tensors.keys.toVector)) {
+        store.removeTensor(t)
+        live -= t
+        val ctx = s"trial $trial, after removing $t"
+        assert(!store.tensors.contains(t), ctx)
+        val ids = store.allPages.map(_.id)
+        for (s <- live) {
+          val items = store.pagesOf(s).map(store.page(_).items)
+          assert(items.forall(_.subsetOf(p.tensors(s).toSet)) && items.flatten.toSet == p.tensors(s).toSet,
+            s"$ctx: tensor $s not exactly covered")
+          assert(store.privatePages(s).toSet == ids.filter(id => store.owners(id) == Set(s)).toSet, ctx)
+          assert(store.sharedPages(s).toSet == ids.filter(id => store.owners(id)(s) && store.refCount(id) >= 2).toSet, ctx)
+        }
+        ids.foreach(id => assert(store.refCount(id) == store.owners(id).size, s"$ctx: page $id"))
+        assert(store.numPages == ids.count(id => store.owners(id).nonEmpty), ctx)
+      }
+      assert(store.numPages == 0 && store.tensors.isEmpty, s"trial $trial")
     }
-  }
-
-  test("update = remove + insert keeps other tensors untouched") {
-    val (store, _) = loadedStore
-    val t2PagesBefore = store.pagesOf(2).toSet
-    val shared = store.sharedPages(2)
-    store.removeTensor(1)
-    store.insertTensor(1, privateItems = Seq(Set(4, 5)), sharedWith = shared)
-    val items2 = store.pagesOf(2).flatMap(id => store.page(id).items).toSet
-    assert(items2 == problem.tensors(2).toSet)
-    assert(store.pagesOf(2).toSet == t2PagesBefore)
   }
 }
