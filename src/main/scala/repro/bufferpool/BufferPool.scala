@@ -11,32 +11,33 @@ import scala.collection.mutable
   *                    (e.g. "shared", "weights-3", "input")
   * @param sharers     ids of the models that reference the page — drives the
   *                    dedup-aware reuse probability (Eq. 7)
-  * @param dirty       whether eviction must write the page out (c_w > 0)
   */
-final case class PageMeta(bytes: Long, localitySet: String, sharers: Set[Int],
-                          dirty: Boolean = false)
+final case class PageMeta(bytes: Long, localitySet: String, sharers: Set[Int])
 
-/** Page-replacement policies compared in Sec. 7.5. */
-sealed trait Policy { def name: String }
-/** Classic global least-recently-used. */
-case object Lru extends Policy { val name = "LRU" }
-/** Global most-recently-used (protects scan prefixes). */
-case object Mru extends Policy { val name = "MRU" }
-
-/** Locality-set policy [18, 73, 74]: each set orders its pages internally
-  * (MRU or LRU) and the victim set is the one whose eviction candidate has
-  * the lowest expected cost `c_w + p_reuse * c_r` (Eq. 6).
+/** Locality-set policy [18, 73, 74], the pool's one replacement rule: each
+  * set orders its pages internally (MRU or LRU) and the victim set is the one
+  * whose eviction candidate has the lowest expected cost `c_w + p_reuse * c_r`
+  * (Eq. 6). Global LRU is LocalitySet-L without rates (every cost is 0, so the
+  * oldest candidate wins); global MRU is LocalitySet-M over a single set.
   *
   * @param innerMru     per-set ordering: true = MRU candidate, false = LRU
   * @param sharingAware the paper's optimization: p_reuse sums the Poisson
   *                     rates of ALL sharers (Eq. 7); when false a page is
   *                     credited only a single model's mean rate
-  * @param rates        per-model access rate (arrivals per tick)
+  * @param rates        per-model access rate (arrivals per tick); a model
+  *                     without one has rate 0
   */
 final case class LocalitySetPolicy(innerMru: Boolean, sharingAware: Boolean,
-                                   rates: Map[Int, Double]) extends Policy {
-  val name: String =
-    (if (sharingAware) "Optimized-" else "LocalitySet-") + (if (innerMru) "M" else "L")
+                                   rates: Map[Int, Double]) {
+  for ((m, r) <- rates)
+    require(java.lang.Double.isFinite(r) && r >= 0, s"model $m: access rate must be finite and >= 0, got $r")
+
+  /** Eq. 7's reuse probability of a page the models `sharers` read. */
+  def pReuse(sharers: Set[Int]): Double = {
+    val rs = sharers.toSeq.map(m => rates.getOrElse(m, 0.0))
+    if (sharingAware) EvictionCost.pReuse(rs, LocalitySetPolicy.Horizon)
+    else EvictionCost.pReuse(Seq(if (rs.isEmpty) 0.0 else rs.sum / rs.size), LocalitySetPolicy.Horizon)
+  }
 }
 
 object LocalitySetPolicy {
@@ -48,60 +49,46 @@ object LocalitySetPolicy {
 
 /** Trace-driven buffer pool simulator over virtual-size pages.
   *
-  * `read` charges device read time on a miss and nothing on a hit; evicting
-  * a dirty page charges device write time. Capacity is in bytes; a page
-  * larger than the whole pool is read through without caching.
+  * `read` charges device read time on a miss and nothing on a hit. Capacity
+  * is in bytes; a page larger than the whole pool is read through without
+  * caching. A page's eviction cost is fixed when it enters the pool: its
+  * sharers and size do not change while it is resident, and `c_w` is 0
+  * because every page the engine serves is read-only, so none is dirty.
   */
-final class BufferPool(val capacityBytes: Long, val policy: Policy,
+final class BufferPool(val capacityBytes: Long, val policy: LocalitySetPolicy,
                        val device: StorageDevice) {
   require(capacityBytes > 0)
 
-  private final class Frame(val meta: PageMeta) { var lastSeq: Long = 0L }
+  private final class Frame(val id: Int, val set: String, val bytes: Long, val cost: Double, var lastSeq: Long)
 
-  private val frames = mutable.LinkedHashMap.empty[Int, Frame]
+  private val frames = mutable.HashMap.empty[Int, Frame]
+  /** Each non-empty locality set's frames in recency order, oldest first. */
+  private val sets = mutable.HashMap.empty[String, mutable.LinkedHashMap[Int, Frame]]
   private var seq = 0L
   private var used = 0L
+  private var nHits, nMisses, nEvictions = 0L
+  private var io = 0.0
 
-  var hits: Long = 0L
-  var misses: Long = 0L
-  var evictions: Long = 0L
-  var ioSeconds: Double = 0.0
-
+  def hits: Long = nHits
+  def misses: Long = nMisses
+  def evictions: Long = nEvictions
+  def ioSeconds: Double = io
   def hitRatio: Double = if (hits + misses == 0) 0.0 else hits.toDouble / (hits + misses)
   def usedBytes: Long = used
   def cached(pageId: Int): Boolean = frames.contains(pageId)
 
-  private def pReuseOf(f: Frame): Double = policy match {
-    case p: LocalitySetPolicy =>
-      val rs = f.meta.sharers.toSeq.map(m => p.rates.getOrElse(m, 0.0))
-      if (p.sharingAware) EvictionCost.pReuse(rs, LocalitySetPolicy.Horizon)
-      else EvictionCost.pReuse(Seq(if (rs.isEmpty) 0.0 else rs.sum / rs.size), LocalitySetPolicy.Horizon)
-    case _ => 0.0
-  }
-
-  /** Pick the next victim according to the configured policy. */
-  private def victim(): Int = policy match {
-    case Lru => frames.minBy(_._2.lastSeq)._1
-    case Mru => frames.maxBy(_._2.lastSeq)._1
-    case p: LocalitySetPolicy =>
-      val bySet = frames.groupBy(_._2.meta.localitySet)
-      val candidates = bySet.toSeq.sortBy(_._1).map { case (_, fs) =>
-        if (p.innerMru) fs.maxBy(_._2.lastSeq) else fs.minBy(_._2.lastSeq)
-      }
-      // Lowest expected cost wins; equal costs fall back to plain recency
-      // (oldest first), so the un-optimized policy degenerates gracefully.
-      candidates.minBy { case (_, f) =>
-        val cw = if (f.meta.dirty) device.writeSeconds(f.meta.bytes) else 0.0
-        (EvictionCost.expected(cw, device.readSeconds(f.meta.bytes), pReuseOf(f)), f.lastSeq)
-      }._1
-  }
-
+  /** Each set offers its recency-end frame; the lowest (cost, lastSeq) goes.
+    * `lastSeq` is unique per frame, so no two offers tie.
+    */
   private def evictOne(): Unit = {
-    val id = victim()
-    val f = frames.remove(id).get
-    used -= f.meta.bytes
-    evictions += 1
-    if (f.meta.dirty) ioSeconds += device.writeSeconds(f.meta.bytes)
+    val f = sets.valuesIterator.map(s => if (policy.innerMru) s.last._2 else s.head._2)
+      .minBy(offer => (offer.cost, offer.lastSeq))
+    val set = sets(f.set)
+    set -= f.id
+    if (set.isEmpty) sets -= f.set
+    frames -= f.id
+    used -= f.bytes
+    nEvictions += 1
   }
 
   /** Access a page for reading; returns the seconds charged. */
@@ -110,23 +97,24 @@ final class BufferPool(val capacityBytes: Long, val policy: Policy,
     frames.get(pageId) match {
       case Some(f) =>
         f.lastSeq = seq
-        hits += 1
+        val set = sets(f.set)
+        set -= pageId
+        set(pageId) = f
+        nHits += 1
         0.0
       case None =>
-        misses += 1
+        nMisses += 1
         val cost = device.readSeconds(meta.bytes)
-        ioSeconds += cost
+        io += cost
         if (meta.bytes <= capacityBytes) {
           while (used + meta.bytes > capacityBytes && frames.nonEmpty) evictOne()
-          val f = new Frame(meta); f.lastSeq = seq
+          val f = new Frame(pageId, meta.localitySet, meta.bytes,
+            EvictionCost.expected(0.0, cost, policy.pReuse(meta.sharers)), seq)
           frames(pageId) = f
+          sets.getOrElseUpdate(meta.localitySet, mutable.LinkedHashMap.empty)(pageId) = f
           used += meta.bytes
         }
         cost
     }
   }
-
-  /** Drop a page without cost (e.g., transient data freed after use). */
-  def discard(pageId: Int): Unit =
-    frames.remove(pageId).foreach(f => used -= f.meta.bytes)
 }

@@ -4,17 +4,15 @@ package repro.device
   * one seek plus bytes/bandwidth. The tables' calibrated SSD/HDD presets are
   * `repro.experiments.Scenarios.SsdEff`, `HddEff` and `HddSeq`.
   */
-final case class StorageDevice(name: String, seekSeconds: Double,
-                               readMBps: Double, writeMBps: Double) {
-  require(seekSeconds >= 0 && readMBps > 0 && writeMBps > 0)
+final case class StorageDevice(name: String, seekSeconds: Double, readMBps: Double) {
+  require(seekSeconds >= 0 && readMBps > 0)
 
   def readSeconds(bytes: Long): Double = seekSeconds + bytes / (readMBps * 1e6)
-  def writeSeconds(bytes: Long): Double = seekSeconds + bytes / (writeMBps * 1e6)
 }
 
 object StorageDevice {
   /** Main-memory "device" used by the TensorFlow baseline's TF-mem source. */
-  val Ram: StorageDevice = StorageDevice("RAM", seekSeconds = 0.0, readMBps = 10000, writeMBps = 10000)
+  val Ram: StorageDevice = StorageDevice("RAM", seekSeconds = 0.0, readMBps = 10000)
 }
 
 /** Where the TensorFlow baseline loads its input features from (Table 3/8):

@@ -25,10 +25,10 @@ object Scenarios {
     * (EXPERIMENTS.md §calibration). HDD random-read effective rate is low —
     * dedup-era page access on a loaded HDD is seek-bound.
     */
-  val SsdEff: StorageDevice = StorageDevice("SSD", seekSeconds = 2e-4, readMBps = 200, writeMBps = 150)
-  val HddEff: StorageDevice = StorageDevice("HDD", seekSeconds = 9e-3, readMBps = 25, writeMBps = 20)
+  val SsdEff: StorageDevice = StorageDevice("SSD", seekSeconds = 2e-4, readMBps = 200)
+  val HddEff: StorageDevice = StorageDevice("HDD", seekSeconds = 9e-3, readMBps = 25)
   /** FFNN pages are laid out and scanned sequentially; HDD streams them. */
-  val HddSeq: StorageDevice = StorageDevice("HDD", seekSeconds = 9e-3, readMBps = 100, writeMBps = 80)
+  val HddSeq: StorageDevice = StorageDevice("HDD", seekSeconds = 9e-3, readMBps = 100)
 
   /** A fully-built serving scenario. */
   final case class Built(name: String,

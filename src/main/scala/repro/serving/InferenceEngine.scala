@@ -1,8 +1,9 @@
 package repro.serving
 
-import repro.bufferpool.{BufferPool, PageMeta, Policy}
+import repro.bufferpool.{BufferPool, LocalitySetPolicy, PageMeta}
 import repro.device.StorageDevice
 import repro.storage.{PageId, PageStore}
+import scala.collection.mutable
 
 /** Serving-cost parameters of one scenario (DESIGN.md §2: netsDB's
   * execution modeled as a page-access trace over the paper-scale store).
@@ -21,21 +22,33 @@ import repro.storage.{PageId, PageStore}
   *                               intermediates); subtracted from the pool
   *                               capacity available to weight/input pages
   */
-final case class ServingConfig(device: StorageDevice, poolBytes: Long, policy: Policy,
+final case class ServingConfig(device: StorageDevice, poolBytes: Long, policy: LocalitySetPolicy,
                                computeSecondsPerModel: Double, inputBytes: Long,
-                               probeRounds: Int = 8, pinnedBytesPerModel: Long = 0L)
+                               probeRounds: Int = 8, pinnedBytesPerModel: Long = 0L) {
+  require(poolBytes > 0, s"poolBytes must be > 0, got $poolBytes")
+  require(probeRounds >= 1, s"probeRounds must be >= 1, got $probeRounds")
+  require(inputBytes >= 0, s"inputBytes must be >= 0, got $inputBytes")
+  require(pinnedBytesPerModel >= 0, s"pinnedBytesPerModel must be >= 0, got $pinnedBytesPerModel")
+  require(computeSecondsPerModel >= 0, s"computeSecondsPerModel must be >= 0, got $computeSecondsPerModel")
+}
 
-final case class ServingReport(totalSeconds: Double, ioSeconds: Double,
-                               computeSeconds: Double, hitRatio: Double,
-                               hits: Long, misses: Long)
+final case class ServingReport(ioSeconds: Double, computeSeconds: Double, hits: Long, misses: Long) {
+  def totalSeconds: Double = computeSeconds + ioSeconds
+  def hitRatio: Double = if (hits + misses == 0) 0.0 else hits.toDouble / (hits + misses)
+}
 
 /** Trace-driven model-serving engine over the deduplicated page store. */
 final class InferenceEngine(store: PageStore, cfg: ServingConfig,
                             tensorToModel: Map[Int, Int]) {
 
-  /** Models that reference a page (for Eq. 7's sharer rates). */
-  private def sharersOf(id: PageId): Set[Int] =
-    store.owners(id).map(t => tensorToModel.getOrElse(t, t))
+  /** A page's pool descriptor. Its sharers are the models owning it (Eq. 7);
+    * a private page's one owning tensor belongs to the model that reads it.
+    */
+  private def describe(id: PageId): PageMeta = {
+    val sharers = store.owners(id).map(t => tensorToModel.getOrElse(t, t))
+    val set = if (store.isShared(id)) "shared" else s"weights-${sharers.head}"
+    PageMeta(store.page(id).bytes, set, sharers)
+  }
 
   /** Serve one inference batch on every listed model, in order; pages flow
     * through the buffer pool, misses charge device time.
@@ -49,23 +62,17 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
     val effective = math.max(store.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
     val pool = new BufferPool(effective, cfg.policy, cfg.device)
     val inputPages = math.max(1L, cfg.inputBytes / store.pageBytes).toInt
-    val allModels = models.toSet
-    var io = 0.0
+    val inputMeta = PageMeta(store.pageBytes, "input", models.toSet)
+    val metaOf = mutable.HashMap.empty[PageId, PageMeta]
     for (m <- models) {
       val pages = modelTensors(m).flatMap(store.pagesOf)
+        .map(id => (id.value, metaOf.getOrElseUpdate(id, describe(id))))
       // The input batch is scanned once per model (the hash-map build side
       // streams it); weight pages are probed once per input sub-batch.
       // Input pages use negative ids so they never clash with store pages.
-      for (p <- 0 until inputPages)
-        io += pool.read(-1 - p, PageMeta(store.pageBytes, "input", allModels))
-      for (_ <- 0 until cfg.probeRounds) {
-        for (id <- pages) {
-          val set = if (store.isShared(id)) "shared" else s"weights-$m"
-          io += pool.read(id.value, PageMeta(store.page(id).bytes, set, sharersOf(id)))
-        }
-      }
+      for (p <- 0 until inputPages) pool.read(-1 - p, inputMeta)
+      for (_ <- 0 until cfg.probeRounds; (id, meta) <- pages) pool.read(id, meta)
     }
-    val compute = cfg.computeSecondsPerModel * models.size
-    ServingReport(compute + io, io, compute, pool.hitRatio, pool.hits, pool.misses)
+    ServingReport(pool.ioSeconds, cfg.computeSecondsPerModel * models.size, pool.hits, pool.misses)
   }
 }

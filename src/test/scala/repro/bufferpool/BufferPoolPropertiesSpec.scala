@@ -1,16 +1,19 @@
 package repro.bufferpool
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bufferpool.Policies.{Lru, Mru}
 import repro.device.StorageDevice
 import scala.util.Random
 
 /** Randomized invariants of the buffer-pool simulator across every policy. */
 class BufferPoolPropertiesSpec extends AnyFunSuite {
 
-  private val dev = StorageDevice("T", 0.001, 100, 100)
+  private val dev = StorageDevice("T", 0.001, 100)
   private val MB = 1L << 20
 
-  private def policies(rnd: Random): Seq[Policy] = {
+  private def policies(rnd: Random): Seq[LocalitySetPolicy] = {
     val rates = (1 to 4).map(_ -> rnd.nextDouble()).toMap
     Seq(Lru, Mru,
       LocalitySetPolicy(innerMru = false, sharingAware = false, rates),
@@ -22,7 +25,7 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       val id = rnd.nextInt(20)
       val set = s"set-${id % 3}"
       val sharers = (1 to (1 + rnd.nextInt(3))).toSet
-      (id, PageMeta((1 + rnd.nextInt(8)) * MB, set, sharers, dirty = rnd.nextInt(10) == 0))
+      (id, PageMeta((1 + rnd.nextInt(8)) * MB, set, sharers))
     }
 
   test("property: capacity is never exceeded under any policy") {
@@ -31,7 +34,7 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       val pool = new BufferPool(20 * MB, policy, dev)
       for ((id, meta) <- randomTrace(rnd, 200)) {
         pool.read(id, meta)
-        assert(pool.usedBytes <= 20 * MB, s"${policy.name} trial $trial exceeded capacity")
+        assert(pool.usedBytes <= 20 * MB, s"$policy trial $trial exceeded capacity")
       }
     }
   }
@@ -42,7 +45,7 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       val pool = new BufferPool(30 * MB, policy, dev)
       val trace = randomTrace(rnd, 150)
       trace.foreach { case (id, m) => pool.read(id, m) }
-      assert(pool.hits + pool.misses == trace.size, policy.name)
+      assert(pool.hits + pool.misses == trace.size, policy.toString)
       assert(pool.hitRatio >= 0 && pool.hitRatio <= 1)
     }
   }
@@ -54,8 +57,8 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       for ((id, m) <- randomTrace(rnd, 150)) {
         val wasCached = pool.cached(id)
         val cost = pool.read(id, m)
-        if (wasCached) assert(cost == 0.0, policy.name)
-        else assert(cost >= dev.readSeconds(m.bytes) - 1e-12, policy.name)
+        if (wasCached) assert(cost == 0.0, policy.toString)
+        else assert(cost >= dev.readSeconds(m.bytes) - 1e-12, policy.toString)
       }
     }
   }
@@ -92,5 +95,50 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
     val resident = trace.map(_._1).distinct.count(pool.cached)
     assert(pool.misses - pool.evictions.toInt == resident,
       s"misses ${pool.misses} - evictions ${pool.evictions} != resident $resident")
+  }
+
+  /** Rates for models 1..6: none at all; 1/5 for models 1..5, whose mean over
+    * three sharers is 1 ulp above 1/5; or a mix of missing, zero, 1/5 and
+    * random rates.
+    */
+  private val ratesGen: Gen[Map[Int, Double]] = Gen.oneOf(
+    Gen.const(Map.empty[Int, Double]),
+    Gen.const((1 to 5).map(_ -> 1.0 / 5).toMap),
+    Gen.sequence[Seq[Option[(Int, Double)]], Option[(Int, Double)]]((1 to 6).map { m =>
+      Gen.option(Gen.oneOf(Gen.const(0.0), Gen.const(1.0 / 5), Gen.choose(0.0, 1.0)).map(m -> _))
+    }).map(_.flatten.toMap))
+
+  /** A trace over 30 pages: each page has one meta (one of four sets, 1–8 MB
+    * or larger than any pool, any subset of models 1..6 as sharers, often
+    * {1, 2, 3}).
+    */
+  private val traceGen: Gen[(Long, Map[Int, Double], Seq[(Int, PageMeta)])] = for {
+    capMb <- Gen.choose(8, 40)
+    rates <- ratesGen
+    metas <- Gen.listOfN(30, for {
+      set <- Gen.oneOf("shared", "weights-1", "weights-2", "input")
+      mb <- Gen.frequency(9 -> Gen.choose(1, 8), 1 -> Gen.const(64))
+      sharers <- Gen.frequency(1 -> Gen.const(Set(1, 2, 3)), 3 -> Gen.someOf(1 to 6).map(_.toSet))
+    } yield PageMeta(mb * MB, set, sharers))
+    ids <- Gen.listOfN(300, Gen.choose(0, 29))
+  } yield (capMb * MB, rates, ids.map(i => i -> metas(i)))
+
+  test("property: the pool decides every access exactly as the reference victim rule") {
+    assert(Seq.fill(3)(1.0 / 5).sum / 3 != 1.0 / 5, "the 1-ulp mean case is not exercised")
+    for (seed <- 1 to 100) {
+      val (cap, rates, trace) = traceGen.pureApply(Gen.Parameters.default, Seed(seed.toLong))
+      for (innerMru <- Seq(false, true); sharingAware <- Seq(false, true)) {
+        val policy = LocalitySetPolicy(innerMru, sharingAware, rates)
+        val pool = new BufferPool(cap, policy, dev)
+        val ref = new ReferenceBufferPool(cap, policy, dev)
+        for (((id, meta), i) <- trace.zipWithIndex) {
+          val clue = s"seed $seed, $policy, access $i"
+          assert(pool.read(id, meta) == ref.read(id, meta), clue)
+          assert((pool.hits, pool.misses, pool.evictions, pool.ioSeconds, pool.usedBytes) ==
+            (ref.hits, ref.misses, ref.evictions, ref.ioSeconds, ref.usedBytes), clue)
+          assert((0 until 30).filter(pool.cached) == (0 until 30).filter(ref.cached), clue)
+        }
+      }
+    }
   }
 }

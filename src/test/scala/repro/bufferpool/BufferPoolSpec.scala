@@ -1,14 +1,14 @@
 package repro.bufferpool
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bufferpool.Policies.{Lru, Mru}
 import repro.device.StorageDevice
 
 class BufferPoolSpec extends AnyFunSuite {
 
-  private val dev = StorageDevice("T", seekSeconds = 0.0, readMBps = 100, writeMBps = 100)
+  private val dev = StorageDevice("T", seekSeconds = 0.0, readMBps = 100)
   private val MB = 1L << 20
-  private def meta(set: String = "s", sharers: Set[Int] = Set(1), dirty: Boolean = false) =
-    PageMeta(10 * MB, set, sharers, dirty)
+  private def meta(set: String = "s", sharers: Set[Int] = Set(1)) = PageMeta(10 * MB, set, sharers)
 
   test("hits are free, misses charge device read time") {
     val pool = new BufferPool(100 * MB, Lru, dev)
@@ -43,7 +43,7 @@ class BufferPoolSpec extends AnyFunSuite {
   }
 
   test("repeated scan beyond capacity: MRU keeps a stable prefix, LRU thrashes") {
-    def run(policy: Policy): Double = {
+    def run(policy: LocalitySetPolicy): Double = {
       val pool = new BufferPool(30 * MB, policy, dev)
       for (_ <- 1 to 5; i <- 1 to 5) pool.read(i, meta())
       pool.hitRatio
@@ -60,20 +60,14 @@ class BufferPoolSpec extends AnyFunSuite {
     assert(pool.usedBytes == 0)
   }
 
-  test("evicting a dirty page charges a write-back") {
-    val pool = new BufferPool(10 * MB, Lru, dev)
-    pool.read(1, meta(dirty = true))
-    val before = pool.ioSeconds
-    pool.read(2, meta()) // evicts dirty page 1
-    assert(pool.ioSeconds > before + dev.readSeconds(10 * MB) - 1e-12)
-  }
-
-  test("discard frees space without IO cost") {
-    val pool = new BufferPool(100 * MB, Lru, dev)
-    pool.read(1, meta())
-    val io = pool.ioSeconds
-    pool.discard(1)
-    assert(!pool.cached(1) && pool.usedBytes == 0 && pool.ioSeconds == io)
+  test("LRU without rates evicts the globally oldest page across locality sets") {
+    val pool = new BufferPool(30 * MB, Lru, dev)
+    pool.read(1, meta("a")); pool.read(2, meta("b")); pool.read(3, meta("a"))
+    pool.read(1, meta("a"))          // 2, alone in set b, is now the oldest
+    pool.read(4, meta("c"))          // evicts 2, then set b is empty
+    pool.read(5, meta("c"))          // evicts 3, set a's LRU frame
+    assert(pool.cached(1) && !pool.cached(2) && !pool.cached(3) && pool.cached(4) && pool.cached(5))
+    assert(pool.evictions == 2)
   }
 
   test("sharing-aware policy keeps shared pages over equally-recent private pages") {
@@ -101,7 +95,7 @@ class BufferPoolSpec extends AnyFunSuite {
   }
 
   /** Round-robin serving of 3 models with shared + private pages, 3 rounds. */
-  private def serveTrace(policy: Policy): Double = {
+  private def serveTrace(policy: LocalitySetPolicy): Double = {
     val pool = new BufferPool(60 * MB, policy, dev)
     val rates = Map(1 -> 0.2, 2 -> 0.2, 3 -> 0.2)
     for (_ <- 1 to 3; m <- 1 to 3) {
@@ -124,5 +118,14 @@ class BufferPoolSpec extends AnyFunSuite {
   test("hitRatio of an empty pool is 0") {
     val pool = new BufferPool(10 * MB, Lru, dev)
     assert(pool.hitRatio == 0.0)
+  }
+
+  test("a rate that is negative, NaN or infinite is rejected, naming the model") {
+    for (bad <- Seq(-0.1, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](
+        LocalitySetPolicy(innerMru = false, sharingAware = true, Map(1 -> 0.2, 7 -> bad)))
+      assert(e.getMessage.contains("model 7"), e.getMessage)
+    }
+    assert(LocalitySetPolicy(innerMru = true, sharingAware = true, Map(1 -> 0.0)).rates(1) == 0.0)
   }
 }

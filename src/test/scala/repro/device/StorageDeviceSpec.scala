@@ -6,9 +6,8 @@ import repro.experiments.Scenarios.{HddEff, SsdEff}
 class StorageDeviceSpec extends AnyFunSuite {
 
   test("read cost is seek plus bandwidth-limited transfer") {
-    val d = StorageDevice("X", seekSeconds = 0.01, readMBps = 100, writeMBps = 50)
+    val d = StorageDevice("X", seekSeconds = 0.01, readMBps = 100)
     assert(math.abs(d.readSeconds(100L * 1000 * 1000) - 1.01) < 1e-9)
-    assert(math.abs(d.writeSeconds(50L * 1000 * 1000) - 1.01) < 1e-9)
   }
 
   test("HDD page reads are far slower than SSD") {
@@ -26,7 +25,7 @@ class StorageDeviceSpec extends AnyFunSuite {
   }
 
   test("invalid device parameters are rejected") {
-    intercept[IllegalArgumentException](StorageDevice("bad", -1, 100, 100))
-    intercept[IllegalArgumentException](StorageDevice("bad", 0, 0, 100))
+    intercept[IllegalArgumentException](StorageDevice("bad", -1, 100))
+    intercept[IllegalArgumentException](StorageDevice("bad", 0, 0))
   }
 }

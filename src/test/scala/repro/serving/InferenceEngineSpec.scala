@@ -1,7 +1,8 @@
 package repro.serving
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bufferpool.{LocalitySetPolicy, Lru}
+import repro.bufferpool.LocalitySetPolicy
+import repro.bufferpool.Policies.Lru
 import repro.core.PagePacking.{Problem, twoStage}
 import repro.device.StorageDevice
 import repro.storage.PageStore
@@ -9,7 +10,7 @@ import repro.storage.PageStore
 class InferenceEngineSpec extends AnyFunSuite {
 
   private val MB = 1L << 20
-  private val dev = StorageDevice("T", 0.0, 100, 100)
+  private val dev = StorageDevice("T", 0.0, 100)
 
   /** Two models (tensors 1 and 2) sharing 6 of 8 items; page = 2 items. */
   private def dedupStore: PageStore = {
@@ -104,5 +105,20 @@ class InferenceEngineSpec extends AnyFunSuite {
     val eng = new InferenceEngine(dedupStore, cfg(1000 * MB), tensorToModel)
     val e = intercept[IllegalArgumentException](eng.serveAll(Seq(1, 2), modelTensors + (2 -> Seq(2, 9))))
     assert(e.getMessage.contains("model 2") && e.getMessage.contains("tensor 9"), e.getMessage)
+  }
+
+  test("ServingConfig rejects a pool, probe count, size or compute time out of range, naming it") {
+    val ok = cfg(1000 * MB)
+    for ((bad, field) <- Seq[(() => ServingConfig, String)](
+      (() => ok.copy(poolBytes = 0), "poolBytes"),
+      (() => ok.copy(poolBytes = -MB), "poolBytes"),
+      (() => ok.copy(probeRounds = 0), "probeRounds"),
+      (() => ok.copy(inputBytes = -1), "inputBytes"),
+      (() => ok.copy(pinnedBytesPerModel = -1), "pinnedBytesPerModel"),
+      (() => ok.copy(computeSecondsPerModel = -1.0), "computeSecondsPerModel"),
+      (() => ok.copy(computeSecondsPerModel = Double.NaN), "computeSecondsPerModel"))) {
+      val e = intercept[IllegalArgumentException](bad())
+      assert(e.getMessage.contains(field), e.getMessage)
+    }
   }
 }
