@@ -76,19 +76,58 @@ final case class ModelDedupStats(modelId: Int, accuracyBefore: Double, accuracyA
   * shared state (`idx` and the distinct-block list `L`). The same engine,
   * configured with a different matcher/order/gate, realizes every baseline
   * detector of Sec. 7.3 (see [[Detectors]]).
+  *
+  * F, the map from each logical block to its distinct block in L, is kept
+  * per tensor: one record per live tensor holds its refs in row-major
+  * `BlockId` order and, per position, the L index and the group. Removing a
+  * tensor touches only that record and its groups, and the packing problem
+  * reads each tensor's items straight from its record.
   */
 final class DedupIndex(val config: DedupConfig) {
 
-  /** A similarity group: representative (index into L) + member refs. */
-  final class Group(val id: Int, val repIdx: Int) {
-    val members: mutable.LinkedHashSet[BlockRef] = mutable.LinkedHashSet.empty
+  /** A similarity group: representative (index into L), the index keys it
+    * was created with, and how many live logical blocks belong to it.
+    */
+  private final class Group(val repIdx: Int, val keys: Seq[String]) {
+    var live = 0
   }
 
-  private val groups = mutable.ArrayBuffer.empty[Group]
+  /** One live tensor's part of F. `refs` is in row-major `BlockId` order;
+    * position p maps to L index `lIdx(p)` through group `group(p)`, which is
+    * null once the block is removed.
+    */
+  private final class TensorRecord(val refs: Array[BlockRef]) {
+    val lIdx = new Array[Int](refs.length)
+    val group = new Array[Group](refs.length)
+    var live = 0
+
+    /** Position of `id` in `refs`, or -1. */
+    def positionOf(id: BlockId): Int = {
+      var lo = 0; var hi = refs.length - 1
+      while (lo <= hi) {
+        val mid = (lo + hi) >>> 1
+        val c = DedupIndex.RowMajor.compare(refs(mid).blockId, id)
+        if (c == 0) return mid
+        if (c < 0) lo = mid + 1 else hi = mid - 1
+      }
+      -1
+    }
+
+    def assign(p: Int, g: Group, l: Int): Unit = {
+      lIdx(p) = l; group(p) = g; g.live += 1; live += 1
+    }
+
+    /** Calls `f` on each live position, in row-major order. */
+    def foreachLive(f: Int => Unit): Unit = {
+      var p = 0
+      while (p < refs.length) { if (group(p) != null) f(p); p += 1 }
+    }
+  }
+
+  private val groups = mutable.LinkedHashSet.empty[Group] // creation order
   private val bySig = mutable.HashMap.empty[String, Group] // signature matchers only
-  private val refToGroup = mutable.HashMap.empty[BlockRef, Group]
+  private val records = mutable.HashMap.empty[Int, TensorRecord] // F, by tensor id
   private val distinctBuf = mutable.ArrayBuffer.empty[TensorBlock] // L
-  private val mappingBuf = mutable.HashMap.empty[BlockRef, Int]    // F
 
   private var probeNanosTotal = 0L
   private var probesTotal = 0
@@ -118,30 +157,46 @@ final class DedupIndex(val config: DedupConfig) {
 
   private def newGroup(block: TensorBlock, keys: Seq[String]): Group = {
     distinctBuf += block
-    val g = new Group(groups.size, distinctBuf.size - 1)
+    val g = new Group(distinctBuf.size - 1, keys)
     groups += g
     keys.foreach(k => if (!bySig.contains(k)) bySig(k) = g)
     g
   }
 
-  /** Blocks in the order Alg. 1 examines them. Magnitude keys are computed
-    * once per block; the sort is stable, so ties keep write order.
+  /** Drop one live block from group `g`; a group left with none disappears,
+    * together with the index keys that still point at it.
     */
-  private[core] def examOrder(blocks: Vector[TensorBlock]): Vector[TensorBlock] = config.order match {
+  private def release(g: Group): Unit = {
+    g.live -= 1
+    if (g.live == 0) {
+      g.keys.foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
+      groups -= g
+    }
+  }
+
+  /** Indices of `blocks` in the order Alg. 1 examines them. Magnitude keys
+    * are computed once per block; the sort is stable, so ties keep write order.
+    */
+  private def examPermutation(blocks: Vector[TensorBlock]): IndexedSeq[Int] = config.order match {
     case ExamOrder.MagnitudeAscending =>
       val keys = blocks.map(b => Magnitude.thirdQuartile(b.data))
-      blocks.indices.sortBy(keys).map(blocks).toVector
-    case ExamOrder.Natural => blocks
+      blocks.indices.sortBy(keys)
+    case ExamOrder.Natural => blocks.indices
   }
+
+  private[core] def examOrder(blocks: Vector[TensorBlock]): Vector[TensorBlock] =
+    examPermutation(blocks).map(blocks).toVector
 
   // -- public API ----------------------------------------------------------
 
   /** Index one model's tensors (Alg. 1). `eval` is consulted only when the
     * config has a gate; pass None for exact dedup or accuracy-free runs.
     *
-    * A model with no blocks, or with a block whose length differs from the
-    * index's dimension (the length of the first block the index stored, else
-    * of this model's first block), is rejected before the index changes.
+    * Rejected before the index changes: a model with no blocks; a block whose
+    * length differs from the index's dimension (the length of the first block
+    * the index stored, else of this model's first block); a tensor whose id is
+    * already live in the index or appears twice in the model; a block whose
+    * ref names another tensor or repeats a `BlockId` of its tensor.
     *
     * @return this model's stats; mappings accumulate in [[mapping]].
     */
@@ -149,18 +204,49 @@ final class DedupIndex(val config: DedupConfig) {
     val blocks: Vector[TensorBlock] = tensors.iterator.flatMap(_.blocks).toVector
     require(blocks.nonEmpty, s"model with tensors ${tensors.map(_.id).mkString("[", ",", "]")} has no blocks")
     val dim = distinctBuf.headOption.getOrElse(blocks.head).data.length
-    for (t <- tensors; b <- t.blocks if b.data.length != dim)
-      throw new IllegalArgumentException(s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
-        s"has length ${b.data.length}, index dimension is $dim")
-    val ordered = examOrder(blocks)
-    // Current weight assignment for this model, mutated as blocks merge.
-    val current = mutable.HashMap.empty[BlockRef, Array[Double]]
-    blocks.foreach(b => current(b.ref) = b.data)
-    val lookup: BlockRef => Array[Double] = current(_)
+    val seen = mutable.HashSet.empty[Int]
+    // Each tensor's positions in row-major order, as indices into t.blocks.
+    val rowMajor = tensors.map { t =>
+      require(!records.contains(t.id), s"tensor ${t.name} (id ${t.id}) is already in the index; remove it first")
+      require(seen.add(t.id), s"tensor ${t.name} (id ${t.id}) appears twice in the model")
+      for (b <- t.blocks) {
+        require(b.data.length == dim, s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
+          s"has length ${b.data.length}, index dimension is $dim")
+        require(b.ref.tensorId == t.id, s"tensor ${t.name} (id ${t.id}) holds block ${b.ref} of another tensor")
+      }
+      val order = t.blocks.indices.sortBy(t.blocks(_).ref.blockId)(DedupIndex.RowMajor)
+      var p = 1
+      while (p < order.size) {
+        val id = t.blocks(order(p)).ref.blockId
+        require(id != t.blocks(order(p - 1)).ref.blockId, s"tensor ${t.name} (id ${t.id}) repeats block $id")
+        p += 1
+      }
+      order
+    }
+    // The record and position of every block, by its index in `blocks`.
+    val recordOf = new Array[TensorRecord](blocks.size)
+    val positionOf = new Array[Int](blocks.size)
+    var offset = 0
+    for ((t, order) <- tensors.zip(rowMajor) if order.nonEmpty) {
+      val rec = new TensorRecord(order.map(t.blocks(_).ref).toArray)
+      records(t.id) = rec
+      var p = 0
+      while (p < order.size) { recordOf(offset + order(p)) = rec; positionOf(offset + order(p)) = p; p += 1 }
+      offset += t.blocks.size
+    }
+    // Current weight assignment for this model, mutated as blocks merge. It
+    // is the oracle's lookup, so it is kept only when there is an oracle.
+    val current = eval.map { _ =>
+      val c = mutable.HashMap.empty[BlockRef, Array[Double]]
+      blocks.foreach(b => c(b.ref) = b.data)
+      c
+    }
+    def accuracy(): Double = eval.get.accuracy(current.get)
 
-    val a0 = eval.map(_.accuracy(lookup)).getOrElse(1.0)
+    val a0 = if (eval.isDefined) accuracy() else 1.0
     val probeStart = probeNanosTotal; val probesStart = probesTotal
 
+    val ordered = examPermutation(blocks)
     var merged = 0
     var stopped = false
     var a = a0
@@ -170,36 +256,33 @@ final class DedupIndex(val config: DedupConfig) {
       val upTo = math.min(i + batch, ordered.size)
       var j = i
       while (j < upTo) {
-        val b = ordered(j)
+        val k = ordered(j)
+        val b = blocks(k)
+        val rec = recordOf(k)
+        val p = positionOf(k)
         probe(b) match {
           case (Some(g), _) if !stopped =>
-            g.members += b.ref
-            refToGroup(b.ref) = g
-            mappingBuf(b.ref) = g.repIdx
-            current(b.ref) = distinctBuf(g.repIdx).data
+            rec.assign(p, g, g.repIdx)
+            current.foreach(_(b.ref) = distinctBuf(g.repIdx).data)
             merged += 1
           case (Some(g), _) =>
             // Gate tripped: record membership but keep a private distinct copy
             // (Sec. 4.3 Step 4 — the block is NOT replaced).
-            g.members += b.ref
-            refToGroup(b.ref) = g
             distinctBuf += b
-            mappingBuf(b.ref) = distinctBuf.size - 1
+            rec.assign(p, g, distinctBuf.size - 1)
           case (None, keys) =>
             val g = newGroup(b, keys)
-            g.members += b.ref
-            refToGroup(b.ref) = g
-            mappingBuf(b.ref) = g.repIdx
+            rec.assign(p, g, g.repIdx)
         }
         j += 1
       }
       i = upTo
       if (!stopped && config.gate.isDefined && eval.isDefined && merged > 0) {
-        a = eval.get.accuracy(lookup)
+        a = accuracy()
         if (a0 - a > config.gate.get.maxDrop) stopped = true
       }
     }
-    if (eval.isDefined) a = eval.get.accuracy(lookup)
+    if (eval.isDefined) a = accuracy()
     ModelDedupStats(
       modelId = tensors.head.id,
       accuracyBefore = a0, accuracyAfter = a,
@@ -210,47 +293,76 @@ final class DedupIndex(val config: DedupConfig) {
   /** The distinct-block list L: every physically stored block, in index order. */
   def distinct: Vector[TensorBlock] = distinctBuf.toVector
 
-  /** F: each logical block reference -> index of its distinct block in L. */
-  def mapping: Map[BlockRef, Int] = mappingBuf.toMap
+  /** F: each live logical block reference -> index of its distinct block in L. */
+  def mapping: Map[BlockRef, Int] = {
+    val b = Map.newBuilder[BlockRef, Int]
+    for (rec <- records.valuesIterator) rec.foreachLive(p => b += rec.refs(p) -> rec.lIdx(p))
+    b.result()
+  }
+
+  /** F per live tensor: the L index of each of its live logical blocks, in
+    * row-major `BlockId` order (duplicates kept).
+    */
+  def logicalItems: Map[Int, Vector[Int]] = records.iterator.map { case (t, rec) =>
+    val items = Vector.newBuilder[Int]
+    rec.foreachLive(items += rec.lIdx(_))
+    t -> items.result()
+  }.toMap
 
   /** Owners of each distinct block: distinct index -> set of tensor ids.
     * Input to equivalent-class page packing (Sec. 5).
     */
-  def owners: Map[Int, Set[Int]] =
-    mappingBuf.toSeq.groupBy(_._2).map { case (idx, refs) =>
-      idx -> refs.map(_._1.tensorId).toSet
+  def owners: Map[Int, Set[Int]] = {
+    val acc = mutable.HashMap.empty[Int, Set[Int]]
+    for ((t, rec) <- records) rec.foreachLive { p =>
+      val l = rec.lIdx(p)
+      acc(l) = acc.getOrElse(l, Set.empty[Int]) + t
     }
+    acc.toMap
+  }
 
   def numGroups: Int = groups.size
   def numDistinct: Int = distinctBuf.size
   def avgProbeSeconds: Double = if (probesTotal == 0) 0 else probeNanosTotal / 1e9 / probesTotal
 
-  /** Group membership size for the group containing `ref` (tests/diagnostics). */
-  def groupSizeOf(ref: BlockRef): Option[Int] = refToGroup.get(ref).map(_.members.size)
+  /** Live-member count of the group containing `ref` (tests/diagnostics). */
+  def groupSizeOf(ref: BlockRef): Option[Int] = records.get(ref.tensorId).flatMap { rec =>
+    val p = rec.positionOf(ref.blockId)
+    if (p < 0 || rec.group(p) == null) None else Some(rec.group(p).live)
+  }
 
   /** Remove one logical block (Sec. 4.3 Removal): drop it from its group;
-    * the representative never changes; a group whose sole remaining member
-    * was the representative's own ref disappears with it.
+    * the representative never changes; a group left with no live block
+    * disappears with its index keys. A tensor whose last block goes is no
+    * longer live and may be added again.
     */
-  def removeBlock(ref: BlockRef): Boolean = refToGroup.remove(ref) match {
+  def removeBlock(ref: BlockRef): Boolean = records.get(ref.tensorId) match {
     case None => false
-    case Some(g) =>
-      g.members -= ref
-      mappingBuf.remove(ref)
-      if (g.members.isEmpty) {
-        config.matcher match {
-          case m: SignatureMatcher =>
-            m.keys(distinctBuf(g.repIdx).data).foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
-          case _ => ()
-        }
-        groups -= g
+    case Some(rec) =>
+      val p = rec.positionOf(ref.blockId)
+      if (p < 0 || rec.group(p) == null) false
+      else {
+        release(rec.group(p))
+        rec.group(p) = null
+        rec.live -= 1
+        if (rec.live == 0) records.remove(ref.tensorId)
+        true
       }
-      true
   }
 
-  /** Remove every block of a tensor (model removal = per-tensor removal). */
-  def removeTensor(tensorId: Int): Int = {
-    val refs = refToGroup.keys.filter(_.tensorId == tensorId).toVector
-    refs.count(removeBlock)
+  /** Remove every block of a tensor (model removal = per-tensor removal).
+    * @return how many live blocks it had
+    */
+  def removeTensor(tensorId: Int): Int = records.remove(tensorId) match {
+    case None => 0
+    case Some(rec) =>
+      rec.group.foreach(g => if (g != null) release(g))
+      rec.live
   }
+}
+
+object DedupIndex {
+  /** Row-major order of block positions. */
+  private val RowMajor: Ordering[BlockId] = (a, b) =>
+    if (a.row != b.row) Integer.compare(a.row, b.row) else Integer.compare(a.col, b.col)
 }

@@ -59,14 +59,11 @@ object PagePacking {
   object Problem {
     /** Derive a problem from a dedup index: the item order of a tensor is the
       * first-occurrence order of its distinct blocks when its logical blocks
-      * are visited in row-major BlockId order.
+      * are visited in row-major BlockId order, which is the order the index
+      * keeps them in.
       */
     def fromDedup(idx: DedupIndex, l: Int): Problem = {
-      val mapping = idx.mapping
-      val byTensor = mapping.toVector.groupBy(_._1.tensorId)
-      val logical = byTensor.map { case (tid, refs) =>
-        tid -> refs.sortBy { case (r, _) => (r.blockId.row, r.blockId.col) }.map(_._2)
-      }
+      val logical = idx.logicalItems
       val tensors = logical.map { case (tid, seq) => tid -> seq.distinct }
       Problem(idx.owners, tensors, l, Some(logical))
     }

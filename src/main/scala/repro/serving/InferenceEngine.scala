@@ -30,6 +30,8 @@ final case class ServingConfig(device: StorageDevice, poolBytes: Long, policy: L
   require(inputBytes >= 0, s"inputBytes must be >= 0, got $inputBytes")
   require(pinnedBytesPerModel >= 0, s"pinnedBytesPerModel must be >= 0, got $pinnedBytesPerModel")
   require(computeSecondsPerModel >= 0, s"computeSecondsPerModel must be >= 0, got $computeSecondsPerModel")
+  require(pinnedBytesPerModel < poolBytes,
+    s"pinnedBytesPerModel ($pinnedBytesPerModel) must be < poolBytes ($poolBytes): nothing would be left for pages")
 }
 
 final case class ServingReport(ioSeconds: Double, computeSeconds: Double, hits: Long, misses: Long) {
@@ -59,19 +61,30 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
       require(modelTensors.contains(m), s"model $m has no tensors in modelTensors")
       for (t <- modelTensors(m)) require(held(t), s"model $m: tensor $t is not in the page store")
     }
-    val effective = math.max(store.pageBytes, cfg.poolBytes - cfg.pinnedBytesPerModel)
+    val effective = cfg.poolBytes - cfg.pinnedBytesPerModel
+    require(effective >= store.pageBytes, s"poolBytes (${cfg.poolBytes}) minus pinnedBytesPerModel " +
+      s"(${cfg.pinnedBytesPerModel}) leaves less than one page of the store (pageBytes ${store.pageBytes})")
     val pool = new BufferPool(effective, cfg.policy, cfg.device)
     val inputPages = math.max(1L, cfg.inputBytes / store.pageBytes).toInt
     val inputMeta = PageMeta(store.pageBytes, "input", models.toSet)
     val metaOf = mutable.HashMap.empty[PageId, PageMeta]
     for (m <- models) {
       val pages = modelTensors(m).flatMap(store.pagesOf)
-        .map(id => (id.value, metaOf.getOrElseUpdate(id, describe(id))))
+      val ids = pages.map(_.value).toArray
+      val metas = pages.map(id => metaOf.getOrElseUpdate(id, describe(id))).toArray
       // The input batch is scanned once per model (the hash-map build side
       // streams it); weight pages are probed once per input sub-batch.
       // Input pages use negative ids so they never clash with store pages.
-      for (p <- 0 until inputPages) pool.read(-1 - p, inputMeta)
-      for (_ <- 0 until cfg.probeRounds; (id, meta) <- pages) pool.read(id, meta)
+      // Plain loops: every page access of the trace runs here, and a library
+      // `foreach` would share its call site with the rest of the program.
+      var p = 0
+      while (p < inputPages) { pool.read(-1 - p, inputMeta); p += 1 }
+      var round = 0
+      while (round < cfg.probeRounds) {
+        var k = 0
+        while (k < ids.length) { pool.read(ids(k), metas(k)); k += 1 }
+        round += 1
+      }
     }
     ServingReport(pool.ioSeconds, cfg.computeSecondsPerModel * models.size, pool.hits, pool.misses)
   }

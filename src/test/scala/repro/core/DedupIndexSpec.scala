@@ -274,6 +274,37 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(state(idx) == before)
   }
 
+  test("addModel rejects a tensor that is already live, naming it, before changing the index") {
+    val shared = vec(1)
+    val idx = Detectors.proposed(dim)
+    idx.addModel(Seq(mkTensor(1, Seq(shared, vec(2)))), None)
+    idx.addModel(Seq(mkTensor(2, Seq(shared.clone()))), None)
+    val before = state(idx)
+    val groupSize = idx.groupSizeOf(BlockRef(1, BlockId(0, 0)))
+    // A new tensor first, so a check made per tensor while indexing would already have changed the index.
+    val again = Seq(mkTensor(3, Seq(vec(3))), mkTensor(2, Seq(vec(4), shared.clone())))
+    val e = intercept[IllegalArgumentException](idx.addModel(again, None))
+    assert(e.getMessage.contains("tensor t2 (id 2)") && e.getMessage.contains("already"), e.getMessage)
+    assert(state(idx) == before)
+    assert(idx.groupSizeOf(BlockRef(1, BlockId(0, 0))) == groupSize)
+    // Once removed, the tensor may come back.
+    idx.removeTensor(2)
+    assert(idx.addModel(Seq(mkTensor(2, Seq(shared.clone()))), None).merged == 1)
+  }
+
+  test("addModel rejects a tensor listed twice, a foreign block and a repeated position") {
+    val idx = Detectors.mistiqueExact()
+    idx.addModel(Seq(mkTensor(1, Seq(vec(1)))), None)
+    val before = state(idx)
+    val twice = intercept[IllegalArgumentException](idx.addModel(Seq(mkTensor(2, Seq(vec(2))), mkTensor(2, Seq(vec(3)))), None))
+    assert(twice.getMessage.contains("id 2") && twice.getMessage.contains("twice"), twice.getMessage)
+    val foreign = Tensor(3, "t3", 1, 1, Vector(TensorBlock(BlockRef(4, BlockId(0, 0)), vec(4), 8L)))
+    assert(intercept[IllegalArgumentException](idx.addModel(Seq(foreign), None)).getMessage.contains("another tensor"))
+    val repeated = Tensor(5, "t5", 2, 1, Vector.fill(2)(TensorBlock(BlockRef(5, BlockId(0, 0)), vec(5), 8L)))
+    assert(intercept[IllegalArgumentException](idx.addModel(Seq(repeated), None)).getMessage.contains("repeats"))
+    assert(state(idx) == before)
+  }
+
   // -- exam order (Sec. 4.3 Steps 1–2) ----------------------------------------
 
   private def assertMagnitudeOrder(blocks: Vector[TensorBlock]): Unit = {

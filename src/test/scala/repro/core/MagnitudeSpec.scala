@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 
 class MagnitudeSpec extends AnyFunSuite {
 
@@ -92,6 +93,38 @@ class MagnitudeSpec extends AnyFunSuite {
       val a = Magnitude.percentile(v.map(_ * s), 75)
       val b = Magnitude.percentile(v, 75) * s
       assert(math.abs(a - b) <= 1e-6 * math.max(1.0, math.abs(b)))
+    }
+  }
+
+  /** The percentile read from a fully sorted copy of |v| (`Arrays.sort`). */
+  private def sortedPercentile(v: Array[Double], p: Double): Double = {
+    val abs = v.map(math.abs)
+    java.util.Arrays.sort(abs)
+    if (abs.length == 1) return abs(0)
+    val rank = p / 100.0 * (abs.length - 1)
+    val lo = rank.toInt
+    val hi = math.min(lo + 1, abs.length - 1)
+    abs(lo) * (1 - (rank - lo)) + abs(hi) * (rank - lo)
+  }
+
+  test("property: percentile equals the sort-based formula bit for bit, with ties, zeros, infinities and NaN") {
+    val ties = Gen.oneOf(1.0, -1.0, 2.5, -2.5, 1e-300)
+    val value = Gen.frequency(3 -> Gen.chooseNum(-1e6, 1e6), 3 -> ties, 1 -> Gen.oneOf(0.0, -0.0),
+      1 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity), 1 -> Gen.const(Double.NaN))
+    val special = Gen.frequency(6 -> Gen.const(false), 1 -> Gen.const(true))
+    val p = Gen.oneOf(Gen.oneOf(0.0, 50.0, 75.0, 100.0), Gen.chooseNum(0.0, 100.0))
+    val caseGen = for {
+      n <- Gen.oneOf(1, 2, 3, 64)
+      // Most vectors are finite; some draw from every special value.
+      withSpecial <- special
+      v <- Gen.listOfN(n, if (withSpecial) value else Gen.frequency(3 -> Gen.chooseNum(-1e6, 1e6), 3 -> ties))
+      q <- p
+    } yield (v.toArray, q)
+    (1 to 2000).foreach { i =>
+      val (v, q) = caseGen.pureApply(Gen.Parameters.default, Seed(i.toLong))
+      val (got, want) = (Magnitude.percentile(v, q), sortedPercentile(v, q))
+      assert(java.lang.Double.doubleToLongBits(got) == java.lang.Double.doubleToLongBits(want),
+        s"seed $i: p=$q v=${v.mkString(",")}: $got != $want")
     }
   }
 }

@@ -121,4 +121,21 @@ class InferenceEngineSpec extends AnyFunSuite {
       assert(e.getMessage.contains(field), e.getMessage)
     }
   }
+
+  test("ServingConfig rejects pinned bytes that fill the pool, naming both") {
+    for (pinned <- Seq(1000 * MB, 1001 * MB)) {
+      val e = intercept[IllegalArgumentException](cfg(1000 * MB).copy(pinnedBytesPerModel = pinned))
+      assert(e.getMessage.contains("pinnedBytesPerModel") && e.getMessage.contains("poolBytes"), e.getMessage)
+    }
+  }
+
+  test("serveAll rejects a pool that leaves less than one page beside the pinned bytes, naming all three") {
+    // The store's pages are 10 MB; 15 MB minus 6 MB pinned leaves 9 MB.
+    val eng = new InferenceEngine(dedupStore, cfg(15 * MB).copy(pinnedBytesPerModel = 6 * MB), tensorToModel)
+    val e = intercept[IllegalArgumentException](eng.serveAll(Seq(1, 2), modelTensors))
+    for (name <- Seq("poolBytes", "pinnedBytesPerModel", "pageBytes")) assert(e.getMessage.contains(name), e.getMessage)
+    // Exactly one page is enough.
+    val onePage = new InferenceEngine(dedupStore, cfg(15 * MB).copy(pinnedBytesPerModel = 5 * MB), tensorToModel)
+    assert(onePage.serveAll(Seq(1, 2), modelTensors).misses > 0)
+  }
 }

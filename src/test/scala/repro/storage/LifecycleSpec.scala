@@ -61,6 +61,8 @@ class LifecycleSpec extends AnyFunSuite {
     val (models, idx, _, _, store) = pipeline(2)
     models.foreach { m => store.removeTensor(m.primary.id); idx.removeTensor(m.primary.id) }
     assert(store.numPages == 0 && idx.numDistinct >= 0 && idx.mapping.isEmpty && idx.numGroups == 0)
+    assert(idx.owners.isEmpty)
+    assert(Problem.fromDedup(idx, l = 4).tensors.isEmpty)
   }
 
   test("update = remove + re-add reuses the surviving index groups") {
