@@ -47,23 +47,57 @@ object LocalitySetPolicy {
   val Horizon: Double = 1.0
 }
 
-/** Trace-driven buffer pool simulator over virtual-size pages.
+/** Trace-driven buffer pool simulator over a fixed table of virtual-size
+  * pages; a page is named by its index in `pages`.
   *
-  * `read` charges device read time on a miss and nothing on a hit. Capacity
-  * is in bytes; a page larger than the whole pool is read through without
-  * caching. A page's eviction cost is fixed when it enters the pool: its
-  * sharers and size do not change while it is resident, and `c_w` is 0
-  * because every page the engine serves is read-only, so none is dirty.
+  * Each table entry is resolved once, when the pool is built: its bytes, its
+  * device read time `c_r`, its Eq. 6/7 eviction cost and its locality set.
+  * A page's sharers and the rates do not change during a trace, and `c_w` is
+  * 0 because every page the engine serves is read-only, so none is dirty.
+  *
+  * `read` charges `c_r` on a miss and nothing on a hit. Capacity is in bytes;
+  * a page larger than the whole pool is read through without caching. Each
+  * locality set keeps its resident pages in an intrusive doubly linked list,
+  * oldest access first, so an access and an eviction touch only primitive
+  * arrays.
   */
 final class BufferPool(val capacityBytes: Long, val policy: LocalitySetPolicy,
-                       val device: StorageDevice) {
+                       val device: StorageDevice, pages: collection.IndexedSeq[PageMeta]) {
   require(capacityBytes > 0)
 
-  private final class Frame(val id: Int, val set: String, val bytes: Long, val cost: Double, var lastSeq: Long)
+  private val n = pages.length
+  private val bytes = new Array[Long](n)
+  private val readCost = new Array[Double](n)
+  private val evictCost = new Array[Double](n)
+  private val setOf = new Array[Int](n)
+  /** Resolves every entry into the arrays above; the number of distinct sets. */
+  private val numSets = {
+    val setIds = mutable.HashMap.empty[String, Int]
+    var p = 0
+    while (p < n) {
+      val meta = pages(p)
+      require(meta.bytes > 0, s"page table entry $p (locality set ${meta.localitySet}): " +
+        s"bytes must be > 0, got ${meta.bytes}")
+      bytes(p) = meta.bytes
+      readCost(p) = device.readSeconds(meta.bytes)
+      evictCost(p) = EvictionCost.expected(0.0, readCost(p), policy.pReuse(meta.sharers))
+      setOf(p) = setIds.getOrElseUpdate(meta.localitySet, setIds.size)
+      p += 1
+    }
+    setIds.size
+  }
 
-  private val frames = mutable.HashMap.empty[Int, Frame]
-  /** Each non-empty locality set's frames in recency order, oldest first. */
-  private val sets = mutable.HashMap.empty[String, mutable.LinkedHashMap[Int, Frame]]
+  private val resident = new Array[Boolean](n)
+  private val lastSeq = new Array[Long](n)
+  /** Links of each resident page in its set's list; -1 ends a list. */
+  private val prev = new Array[Int](n)
+  private val next = new Array[Int](n)
+  /** Each set's oldest (head) and most recent (tail) resident page; -1 when empty. */
+  private val head = new Array[Int](numSets)
+  private val tail = new Array[Int](numSets)
+  java.util.Arrays.fill(head, -1)
+  java.util.Arrays.fill(tail, -1)
+
   private var seq = 0L
   private var used = 0L
   private var nHits, nMisses, nEvictions = 0L
@@ -75,46 +109,71 @@ final class BufferPool(val capacityBytes: Long, val policy: LocalitySetPolicy,
   def ioSeconds: Double = io
   def hitRatio: Double = if (hits + misses == 0) 0.0 else hits.toDouble / (hits + misses)
   def usedBytes: Long = used
-  def cached(pageId: Int): Boolean = frames.contains(pageId)
+  def cached(page: Int): Boolean = resident(page)
 
-  /** Each set offers its recency-end frame; the lowest (cost, lastSeq) goes.
-    * `lastSeq` is unique per frame, so no two offers tie.
+  private def append(p: Int): Unit = {
+    val s = setOf(p)
+    val t = tail(s)
+    prev(p) = t
+    next(p) = -1
+    if (t < 0) head(s) = p else next(t) = p
+    tail(s) = p
+  }
+
+  private def unlink(p: Int): Unit = {
+    val s = setOf(p)
+    val a = prev(p)
+    val b = next(p)
+    if (a < 0) head(s) = b else next(a) = b
+    if (b < 0) tail(s) = a else prev(b) = a
+  }
+
+  /** Whether page `a`'s (cost, lastSeq) is below page `b`'s. */
+  private def offersLess(a: Int, b: Int): Boolean = {
+    val byCost = java.lang.Double.compare(evictCost(a), evictCost(b))
+    byCost < 0 || (byCost == 0 && lastSeq(a) < lastSeq(b))
+  }
+
+  /** Each non-empty set offers its recency-end page; the lowest
+    * (cost, lastSeq) goes. `lastSeq` is unique per page, so no two offers tie.
     */
   private def evictOne(): Unit = {
-    val f = sets.valuesIterator.map(s => if (policy.innerMru) s.last._2 else s.head._2)
-      .minBy(offer => (offer.cost, offer.lastSeq))
-    val set = sets(f.set)
-    set -= f.id
-    if (set.isEmpty) sets -= f.set
-    frames -= f.id
-    used -= f.bytes
+    var victim = -1
+    var s = 0
+    while (s < numSets) {
+      val c = if (policy.innerMru) tail(s) else head(s)
+      if (c >= 0 && (victim < 0 || offersLess(c, victim))) victim = c
+      s += 1
+    }
+    unlink(victim)
+    resident(victim) = false
+    used -= bytes(victim)
     nEvictions += 1
   }
 
-  /** Access a page for reading; returns the seconds charged. */
-  def read(pageId: Int, meta: PageMeta): Double = {
+  /** Access page `page` of the table for reading; returns the seconds charged. */
+  def read(page: Int): Double = {
     seq += 1
-    frames.get(pageId) match {
-      case Some(f) =>
-        f.lastSeq = seq
-        val set = sets(f.set)
-        set -= pageId
-        set(pageId) = f
-        nHits += 1
-        0.0
-      case None =>
-        nMisses += 1
-        val cost = device.readSeconds(meta.bytes)
-        io += cost
-        if (meta.bytes <= capacityBytes) {
-          while (used + meta.bytes > capacityBytes && frames.nonEmpty) evictOne()
-          val f = new Frame(pageId, meta.localitySet, meta.bytes,
-            EvictionCost.expected(0.0, cost, policy.pReuse(meta.sharers)), seq)
-          frames(pageId) = f
-          sets.getOrElseUpdate(meta.localitySet, mutable.LinkedHashMap.empty)(pageId) = f
-          used += meta.bytes
-        }
-        cost
+    if (resident(page)) {
+      lastSeq(page) = seq
+      unlink(page)
+      append(page)
+      nHits += 1
+      0.0
+    } else {
+      nMisses += 1
+      val cost = readCost(page)
+      io += cost
+      val b = bytes(page)
+      if (b <= capacityBytes) {
+        // An empty pool has room for any page that fits the capacity.
+        while (used + b > capacityBytes) evictOne()
+        resident(page) = true
+        lastSeq(page) = seq
+        append(page)
+        used += b
+      }
+      cost
     }
   }
 }

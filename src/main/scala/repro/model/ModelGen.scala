@@ -60,9 +60,8 @@ object ModelGen {
   /** Deterministic base ("pretrained") weights for one block. */
   private def baseBlock(shape: EmbeddingShape, hot: Array[Double], r: Int, c: Int,
                         seed: Long): Array[Double] = {
-    val rnd = new Random(seed * 1000003L + r * 131L + c)
     val scale = 0.05 + 2.0 * hot(r)
-    Array.fill(shape.blockDim)(rnd.nextGaussian() * scale)
+    new GaussianStream(seed * 1000003L + r * 131L + c).fill(shape.blockDim, scale)
   }
 
   /** Hotness map is derived once per family seed (shared across variants). */
@@ -90,7 +89,7 @@ object ModelGen {
         shape.blockDim, shape.blockVirtualBytes) { (r, c) =>
         val b = baseBlock(shape, hot, r, c, seed)
         val li = r * shape.colBlocks + c
-        val brnd = new Random(seed * 17L + modelId * 1013L + li)
+        val brnd = new GaussianStream(seed * 17L + modelId * 1013L + li)
         if (strong.contains(li)) {
           var i = 0; while (i < b.length) { b(i) += brnd.nextGaussian() * v.strongScale; i += 1 }
         } else if (v.trainDrift > 0) {
@@ -98,8 +97,8 @@ object ModelGen {
         }
         b
       }
-      val hrnd = new Random(seed * 13L + modelId)
-      val head = Array.fill(shape.embDim)(hrnd.nextGaussian())
+      val hrnd = new GaussianStream(seed * 13L + modelId)
+      val head = hrnd.fill(shape.embDim, 1.0)
       Model(modelId, v.name, Vector(t), head, hrnd.nextGaussian() * 0.1)
     }
   }
@@ -160,18 +159,16 @@ object ModelGen {
                  seed: Long = 99L): Vector[Model] = {
     def tensor(tid: Int, name: String, nBlocks: Int, blockSeed: Long): Tensor =
       Tensor.tabulate(tid, name, nBlocks, 1, blockDim, blockVirtualBytes) { (r, _) =>
-        val rnd = new Random(blockSeed * 1000003L + r)
         // Unit scale keeps distinct random blocks far apart in L2, so the
         // LSH index never spuriously merges unrelated FFNN blocks.
-        Array.fill(blockDim)(rnd.nextGaussian())
+        new GaussianStream(blockSeed * 1000003L + r).fill(blockDim, 1.0)
       }
     (0 until numModels).toVector.map { i =>
       // Tensor ids: shared W1 uses the SAME content for every model (same
       // seed), so exact dedup collapses it; W2 is model-specific.
       val w1 = tensor(i * 2, s"ffnn$i-W1", w1Blocks, blockSeed = seed)
       val w2 = tensor(i * 2 + 1, s"ffnn$i-W2", w2Blocks, blockSeed = seed + 1 + i)
-      val rnd = new Random(seed * 7L + i)
-      Model(i, s"ffnn-$i", Vector(w1, w2), Array.fill(blockDim)(rnd.nextGaussian()), 0.0)
+      Model(i, s"ffnn-$i", Vector(w1, w2), new GaussianStream(seed * 7L + i).fill(blockDim, 1.0), 0.0)
     }
   }
 

@@ -64,27 +64,35 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
     val effective = cfg.poolBytes - cfg.pinnedBytesPerModel
     require(effective >= store.pageBytes, s"poolBytes (${cfg.poolBytes}) minus pinnedBytesPerModel " +
       s"(${cfg.pinnedBytesPerModel}) leaves less than one page of the store (pageBytes ${store.pageBytes})")
-    val pool = new BufferPool(effective, cfg.policy, cfg.device)
+    // The page table: the input pages first, then each store page in the
+    // order the trace first reads it. Each model's trace names table entries.
     val inputPages = math.max(1L, cfg.inputBytes / store.pageBytes).toInt
     val inputMeta = PageMeta(store.pageBytes, "input", models.toSet)
-    val metaOf = mutable.HashMap.empty[PageId, PageMeta]
-    for (m <- models) {
-      val pages = modelTensors(m).flatMap(store.pagesOf)
-      val ids = pages.map(_.value).toArray
-      val metas = pages.map(id => metaOf.getOrElseUpdate(id, describe(id))).toArray
-      // The input batch is scanned once per model (the hash-map build side
-      // streams it); weight pages are probed once per input sub-batch.
-      // Input pages use negative ids so they never clash with store pages.
-      // Plain loops: every page access of the trace runs here, and a library
-      // `foreach` would share its call site with the rest of the program.
+    val table = mutable.ArrayBuffer.empty[PageMeta]
+    for (_ <- 0 until inputPages) table += inputMeta
+    val entryOf = mutable.HashMap.empty[PageId, Int]
+    val weightPages = models.iterator.map { m =>
+      modelTensors(m).flatMap(store.pagesOf).map { id =>
+        entryOf.getOrElseUpdate(id, { table += describe(id); table.size - 1 })
+      }.toArray
+    }.toArray
+    val pool = new BufferPool(effective, cfg.policy, cfg.device, table)
+    // The input batch is scanned once per model (the hash-map build side
+    // streams it); weight pages are probed once per input sub-batch.
+    // Plain loops: every page access of the trace runs here, and a library
+    // `foreach` would share its call site with the rest of the program.
+    var m = 0
+    while (m < weightPages.length) {
+      val ids = weightPages(m)
       var p = 0
-      while (p < inputPages) { pool.read(-1 - p, inputMeta); p += 1 }
+      while (p < inputPages) { pool.read(p); p += 1 }
       var round = 0
       while (round < cfg.probeRounds) {
         var k = 0
-        while (k < ids.length) { pool.read(ids(k), metas(k)); k += 1 }
+        while (k < ids.length) { pool.read(ids(k)); k += 1 }
         round += 1
       }
+      m += 1
     }
     ServingReport(pool.ioSeconds, cfg.computeSecondsPerModel * models.size, pool.hits, pool.misses)
   }

@@ -20,20 +20,24 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       LocalitySetPolicy(innerMru = true, sharingAware = true, rates))
   }
 
-  private def randomTrace(rnd: Random, n: Int): Seq[(Int, PageMeta)] =
-    Seq.fill(n) {
-      val id = rnd.nextInt(20)
-      val set = s"set-${id % 3}"
+  /** A table of 20 pages (one descriptor each: set `set-(id % 3)`, 1–8 MB,
+    * models 1..k as sharers) and a trace of `n` accesses over it.
+    */
+  private def randomTrace(rnd: Random, n: Int): (Vector[PageMeta], Seq[Int]) = {
+    val table = Vector.tabulate(20) { id =>
       val sharers = (1 to (1 + rnd.nextInt(3))).toSet
-      (id, PageMeta((1 + rnd.nextInt(8)) * MB, set, sharers))
+      PageMeta((1 + rnd.nextInt(8)) * MB, s"set-${id % 3}", sharers)
     }
+    (table, Seq.fill(n)(rnd.nextInt(20)))
+  }
 
   test("property: capacity is never exceeded under any policy") {
     val rnd = new Random(21)
     for (trial <- 1 to 5; policy <- policies(rnd)) {
-      val pool = new BufferPool(20 * MB, policy, dev)
-      for ((id, meta) <- randomTrace(rnd, 200)) {
-        pool.read(id, meta)
+      val (table, trace) = randomTrace(rnd, 200)
+      val pool = new BufferPool(20 * MB, policy, dev, table)
+      for (id <- trace) {
+        pool.read(id)
         assert(pool.usedBytes <= 20 * MB, s"$policy trial $trial exceeded capacity")
       }
     }
@@ -42,9 +46,9 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
   test("property: hits + misses equals the number of accesses") {
     val rnd = new Random(22)
     for (policy <- policies(rnd)) {
-      val pool = new BufferPool(30 * MB, policy, dev)
-      val trace = randomTrace(rnd, 150)
-      trace.foreach { case (id, m) => pool.read(id, m) }
+      val (table, trace) = randomTrace(rnd, 150)
+      val pool = new BufferPool(30 * MB, policy, dev, table)
+      trace.foreach(pool.read)
       assert(pool.hits + pool.misses == trace.size, policy.toString)
       assert(pool.hitRatio >= 0 && pool.hitRatio <= 1)
     }
@@ -53,34 +57,33 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
   test("property: a hit never charges IO; every miss charges at least the read cost") {
     val rnd = new Random(23)
     for (policy <- policies(rnd)) {
-      val pool = new BufferPool(30 * MB, policy, dev)
-      for ((id, m) <- randomTrace(rnd, 150)) {
+      val (table, trace) = randomTrace(rnd, 150)
+      val pool = new BufferPool(30 * MB, policy, dev, table)
+      for (id <- trace) {
         val wasCached = pool.cached(id)
-        val cost = pool.read(id, m)
+        val cost = pool.read(id)
         if (wasCached) assert(cost == 0.0, policy.toString)
-        else assert(cost >= dev.readSeconds(m.bytes) - 1e-12, policy.toString)
+        else assert(cost >= dev.readSeconds(table(id).bytes) - 1e-12, policy.toString)
       }
     }
   }
 
   test("property: an infinite pool never evicts and misses each page once") {
     val rnd = new Random(24)
-    val pool = new BufferPool(Long.MaxValue / 2, Lru, dev)
-    val trace = randomTrace(rnd, 300)
-    trace.foreach { case (id, m) => pool.read(id, m) }
+    val (table, trace) = randomTrace(rnd, 300)
+    val pool = new BufferPool(Long.MaxValue / 2, Lru, dev, table)
+    trace.foreach(pool.read)
     assert(pool.evictions == 0)
-    assert(pool.misses == trace.map(_._1).distinct.size)
+    assert(pool.misses == trace.distinct.size)
   }
 
   test("property: larger pools never hit less on the same deterministic trace") {
     // Uniform page size: the LRU stack/inclusion property needs it.
     val rnd = new Random(25)
-    val trace = Seq.fill(300) {
-      (rnd.nextInt(20), PageMeta(4 * MB, "s", Set(1)))
-    }
+    val trace = Seq.fill(300)(rnd.nextInt(20))
     val ratios = Seq(10, 20, 40, 80).map { cap =>
-      val pool = new BufferPool(cap * MB, Lru, dev)
-      trace.foreach { case (id, m) => pool.read(id, m) }
+      val pool = new BufferPool(cap * MB, Lru, dev, Vector.fill(20)(PageMeta(4 * MB, "s", Set(1))))
+      trace.foreach(pool.read)
       pool.hitRatio
     }
     // LRU has the stack property: hit ratio is monotone in capacity.
@@ -89,10 +92,10 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
 
   test("property: eviction accounting matches residency") {
     val rnd = new Random(26)
-    val pool = new BufferPool(15 * MB, Mru, dev)
-    val trace = randomTrace(rnd, 100)
-    trace.foreach { case (id, m) => pool.read(id, m) }
-    val resident = trace.map(_._1).distinct.count(pool.cached)
+    val (table, trace) = randomTrace(rnd, 100)
+    val pool = new BufferPool(15 * MB, Mru, dev, table)
+    trace.foreach(pool.read)
+    val resident = trace.distinct.count(pool.cached)
     assert(pool.misses - pool.evictions.toInt == resident,
       s"misses ${pool.misses} - evictions ${pool.evictions} != resident $resident")
   }
@@ -110,9 +113,10 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
 
   /** A trace over 30 pages: each page has one meta (one of four sets, 1–8 MB
     * or larger than any pool, any subset of models 1..6 as sharers, often
-    * {1, 2, 3}).
+    * {1, 2, 3}). The pool under test takes the metas as its page table; the
+    * reference reads each access with its page's meta.
     */
-  private val traceGen: Gen[(Long, Map[Int, Double], Seq[(Int, PageMeta)])] = for {
+  private val traceGen: Gen[(Long, Map[Int, Double], Vector[PageMeta], Seq[Int])] = for {
     capMb <- Gen.choose(8, 40)
     rates <- ratesGen
     metas <- Gen.listOfN(30, for {
@@ -121,19 +125,19 @@ class BufferPoolPropertiesSpec extends AnyFunSuite {
       sharers <- Gen.frequency(1 -> Gen.const(Set(1, 2, 3)), 3 -> Gen.someOf(1 to 6).map(_.toSet))
     } yield PageMeta(mb * MB, set, sharers))
     ids <- Gen.listOfN(300, Gen.choose(0, 29))
-  } yield (capMb * MB, rates, ids.map(i => i -> metas(i)))
+  } yield (capMb * MB, rates, metas.toVector, ids)
 
   test("property: the pool decides every access exactly as the reference victim rule") {
     assert(Seq.fill(3)(1.0 / 5).sum / 3 != 1.0 / 5, "the 1-ulp mean case is not exercised")
     for (seed <- 1 to 100) {
-      val (cap, rates, trace) = traceGen.pureApply(Gen.Parameters.default, Seed(seed.toLong))
+      val (cap, rates, metas, trace) = traceGen.pureApply(Gen.Parameters.default, Seed(seed.toLong))
       for (innerMru <- Seq(false, true); sharingAware <- Seq(false, true)) {
         val policy = LocalitySetPolicy(innerMru, sharingAware, rates)
-        val pool = new BufferPool(cap, policy, dev)
+        val pool = new BufferPool(cap, policy, dev, metas)
         val ref = new ReferenceBufferPool(cap, policy, dev)
-        for (((id, meta), i) <- trace.zipWithIndex) {
+        for ((id, i) <- trace.zipWithIndex) {
           val clue = s"seed $seed, $policy, access $i"
-          assert(pool.read(id, meta) == ref.read(id, meta), clue)
+          assert(pool.read(id) == ref.read(id, metas(id)), clue)
           assert((pool.hits, pool.misses, pool.evictions, pool.ioSeconds, pool.usedBytes) ==
             (ref.hits, ref.misses, ref.evictions, ref.ioSeconds, ref.usedBytes), clue)
           assert((0 until 30).filter(pool.cached) == (0 until 30).filter(ref.cached), clue)

@@ -13,6 +13,7 @@ import repro.model.ModelGen.EmbeddingShape
   * and online packing after every step.
   */
 class DedupDifferentialSpec extends AnyFunSuite {
+  import DedupDifferentialSpec._
 
   /** Deterministic property harness: sample `g` at seeds 1..n. */
   private def forAll[A](g: Gen[A], n: Int)(body: A => Unit): Unit =
@@ -40,17 +41,6 @@ class DedupDifferentialSpec extends AnyFunSuite {
     }
     Model(m, s"line-$m", Vector(t), Array.empty, 0.0)
   }
-
-  /** One step, its choices resolved against the models live at that point. */
-  private sealed trait Step
-  /** Add a model never added before; `gated` passes an oracle. */
-  private final case class Add(pick: Int, gated: Boolean, penalty: Double) extends Step
-  /** Remove every tensor of a live model. */
-  private final case class RemoveModel(pick: Int) extends Step
-  /** Remove one block of a live model (possibly one already removed). */
-  private final case class RemoveBlock(pick: Int, block: Int) extends Step
-  /** Add again a model none of whose tensors is live. */
-  private final case class ReAdd(pick: Int, gated: Boolean, penalty: Double) extends Step
 
   private val stepGen: Gen[Step] = {
     val pick = Gen.choose(0, 1000)
@@ -156,4 +146,17 @@ class DedupDifferentialSpec extends AnyFunSuite {
   test("property: naive pairwise scans groups in creation order") {
     assert(run(line, () => Detectors.naivePairwise(threshold = 1.0), n = 15)._1 > 0)
   }
+}
+
+object DedupDifferentialSpec {
+  /** One step, its choices resolved against the models live at that point. */
+  private sealed trait Step
+  /** Add a model never added before; `gated` passes an oracle. */
+  private final case class Add(pick: Int, gated: Boolean, penalty: Double) extends Step
+  /** Remove every tensor of a live model. */
+  private final case class RemoveModel(pick: Int) extends Step
+  /** Remove one block of a live model (possibly one already removed). */
+  private final case class RemoveBlock(pick: Int, block: Int) extends Step
+  /** Add again a model none of whose tensors is live. */
+  private final case class ReAdd(pick: Int, gated: Boolean, penalty: Double) extends Step
 }

@@ -13,6 +13,7 @@ import scala.util.Random
   * recomputation: same accuracy at every step, same dedup decisions.
   */
 class AccuracySessionSpec extends AnyFunSuite {
+  import AccuracySessionSpec._
 
   /** Deterministic property harness: sample `g` at seeds 1..n. */
   private def forAll[A](g: Gen[A], n: Int)(body: A => Unit): Unit =
@@ -22,15 +23,6 @@ class AccuracySessionSpec extends AnyFunSuite {
     rowsPerBlock = 4, colsPerBlock = 4, blockVirtualBytes = 1L << 20)
   private lazy val (fam, models) = textClassFamily(shape)
   private lazy val eval = new AccuracyEval(fam, numExamples = 300, seed = 55)
-
-  /** One step of a block-replacement sequence on the primary tensor. */
-  private sealed trait Step
-  /** Block k gets a new, perturbed array. */
-  private final case class Perturb(k: Int, seed: Long) extends Step
-  /** Block k takes the array block j currently has (a shared representative). */
-  private final case class Share(k: Int, j: Int) extends Step
-  /** Block k goes back to its original array. */
-  private final case class Revert(k: Int) extends Step
 
   private val blockGen = Gen.choose(0, shape.numBlocks - 1)
   private val stepGen: Gen[Step] = Gen.oneOf(
@@ -115,4 +107,15 @@ class AccuracySessionSpec extends AnyFunSuite {
     val (fam, models) = textClassFamily()
     assertSameDecisions(fam, models, i => textClassVariants(i).labelNoise)
   }
+}
+
+object AccuracySessionSpec {
+  /** One step of a block-replacement sequence on the primary tensor. */
+  private sealed trait Step
+  /** Block k gets a new, perturbed array. */
+  private final case class Perturb(k: Int, seed: Long) extends Step
+  /** Block k takes the array block j currently has (a shared representative). */
+  private final case class Share(k: Int, j: Int) extends Step
+  /** Block k goes back to its original array. */
+  private final case class Revert(k: Int) extends Step
 }
