@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.util.hashing.MurmurHash3
 
 /** Accuracy oracle for one model: given a lookup from the model's logical
   * block references to the weight data *currently* assigned to them (original
@@ -22,7 +23,8 @@ trait ModelAccuracy {
   * performed replacements are NOT rolled back, matching Sec. 7.3).
   */
 final case class Gate(checkEvery: Int, maxDrop: Double) {
-  require(checkEvery > 0 && maxDrop >= 0)
+  require(checkEvery > 0, s"gate must validate after at least one block: checkEvery = $checkEvery")
+  require(maxDrop >= 0, s"gate drop must be non-negative: maxDrop = $maxDrop")
 }
 
 /** Order in which a model's blocks are examined (Sec. 4.3 Steps 1–2). */
@@ -36,24 +38,49 @@ object ExamOrder {
 
 /** How candidate duplicate groups are found. */
 sealed trait MatcherSpec
-/** Hash-signature index; `bands` > 1 splits the signature into bands and
-  * collides on ANY band (standard MinHash banding). `verifyContent` demands
-  * bit-exact equality with the representative on a hit (exact dedup).
+
+/** One band of a signature as an index key: band number `band` and the
+  * signature values `values(from until until)`. Two keys are equal exactly
+  * when their band numbers and their slices' contents are, so equal slices of
+  * different bands never collide. The hash is computed once.
+  */
+final class BandKey(private val band: Int, private val values: Array[Int], private val from: Int,
+                    private val until: Int) {
+  override val hashCode: Int = {
+    var h = MurmurHash3.mix(MurmurHash3.arraySeed, band)
+    var i = from
+    while (i < until) { h = MurmurHash3.mix(h, values(i)); i += 1 }
+    MurmurHash3.finalizeHash(h, until - from + 1)
+  }
+
+  override def equals(o: Any): Boolean = o match {
+    case k: BandKey => k.hashCode == hashCode && k.band == band &&
+      java.util.Arrays.equals(values, from, until, k.values, k.from, k.until)
+    case _ => false
+  }
+
+  override def toString: String = values.slice(from, until).mkString(s"$band:", ",", "")
+}
+
+/** Hash-signature index; `bands` > 1 cuts the signature into that many equal
+  * bands and collides on ANY band (standard MinHash banding). `verifyContent`
+  * demands bit-exact equality with the representative on a hit (exact dedup).
   */
 final case class SignatureMatcher(hasher: BlockHasher, bands: Int = 1,
                                   verifyContent: Boolean = false) extends MatcherSpec {
+  require(bands >= 1 && hasher.length % bands == 0,
+    s"bands must be at least 1 and divide the signature length: bands = $bands, length = ${hasher.length}")
 
-  /** Index keys of a block: its signature split into `bands` bands, each
-    * tagged with its band number so equal chunks of different bands never
-    * collide. One band keys on the whole signature.
+  /** Index keys of a block: its signature cut into `bands` slices, each
+    * tagged with its band number. One band keys on the whole signature.
     */
-  def keys(data: Array[Double]): Seq[String] = {
-    val sig = hasher.signature(data)
-    if (bands <= 1) Seq("0:" + sig.key)
-    else {
-      val per = math.max(1, sig.values.size / bands)
-      sig.values.grouped(per).zipWithIndex.map { case (chunk, i) => s"$i:${chunk.mkString(",")}" }.toSeq
-    }
+  def keys(data: Array[Double]): Array[BandKey] = {
+    val sig = hasher.signature(data).values
+    val per = sig.length / bands
+    val out = new Array[BandKey](bands)
+    var i = 0
+    while (i < bands) { out(i) = new BandKey(i, sig, i * per, (i + 1) * per); i += 1 }
+    out
   }
 }
 /** Linear scan over group representatives, collide when L2 <= threshold. */
@@ -88,7 +115,7 @@ final class DedupIndex(val config: DedupConfig) {
   /** A similarity group: representative (index into L), the index keys it
     * was created with, and how many live logical blocks belong to it.
     */
-  private final class Group(val repIdx: Int, val keys: Seq[String]) {
+  private final class Group(val repIdx: Int, val keys: Array[BandKey]) {
     var live = 0
   }
 
@@ -125,7 +152,7 @@ final class DedupIndex(val config: DedupConfig) {
   }
 
   private val groups = mutable.LinkedHashSet.empty[Group] // creation order
-  private val bySig = mutable.HashMap.empty[String, Group] // signature matchers only
+  private val bySig = mutable.HashMap.empty[BandKey, Group] // signature matchers only
   private val records = mutable.HashMap.empty[Int, TensorRecord] // F, by tensor id
   private val distinctBuf = mutable.ArrayBuffer.empty[TensorBlock] // L
 
@@ -134,32 +161,34 @@ final class DedupIndex(val config: DedupConfig) {
 
   // -- internal matching ---------------------------------------------------
 
-  /** Find the group this block would join, or None, together with the
-    * block's signature keys (empty for pairwise matching) so that a new
-    * group reuses them. Timed for Table 9.
-    */
-  private def probe(block: TensorBlock): (Option[Group], Seq[String]) = {
-    val t0 = System.nanoTime()
-    val res = config.matcher match {
-      case m: SignatureMatcher =>
-        val keys = m.keys(block.data)
-        val hit = keys.iterator.flatMap(bySig.get).find { g =>
-          !m.verifyContent || distinctBuf(g.repIdx).sameContent(block)
-        }
-        (hit, keys)
-      case PairwiseMatcher(threshold) =>
-        (groups.iterator.find(g => distinctBuf(g.repIdx).l2(block) <= threshold), Nil)
-    }
-    probeNanosTotal += System.nanoTime() - t0
-    probesTotal += 1
-    res
+  /** The block's index keys; none for pairwise matching. */
+  private def keysOf(block: TensorBlock): Array[BandKey] = config.matcher match {
+    case m: SignatureMatcher => m.keys(block.data)
+    case _: PairwiseMatcher => DedupIndex.NoKeys
   }
 
-  private def newGroup(block: TensorBlock, keys: Seq[String]): Group = {
+  /** The group this block would join, or null. Signature matching takes the
+    * first band key, in band order, whose group passes the content check.
+    */
+  private def find(block: TensorBlock, keys: Array[BandKey]): Group = config.matcher match {
+    case m: SignatureMatcher =>
+      var i = 0
+      while (i < keys.length) {
+        val g = bySig.getOrElse(keys(i), null)
+        if (g != null && (!m.verifyContent || distinctBuf(g.repIdx).sameContent(block))) return g
+        i += 1
+      }
+      null
+    case PairwiseMatcher(threshold) =>
+      groups.iterator.find(g => distinctBuf(g.repIdx).l2(block) <= threshold).orNull
+  }
+
+  private def newGroup(block: TensorBlock, keys: Array[BandKey]): Group = {
     distinctBuf += block
     val g = new Group(distinctBuf.size - 1, keys)
     groups += g
-    keys.foreach(k => if (!bySig.contains(k)) bySig(k) = g)
+    var i = 0
+    while (i < keys.length) { bySig.getOrElseUpdate(keys(i), g); i += 1 }
     g
   }
 
@@ -169,7 +198,8 @@ final class DedupIndex(val config: DedupConfig) {
   private def release(g: Group): Unit = {
     g.live -= 1
     if (g.live == 0) {
-      g.keys.foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
+      var i = 0
+      while (i < g.keys.length) { if (bySig.getOrElse(g.keys(i), null) eq g) bySig.remove(g.keys(i)); i += 1 }
       groups -= g
     }
   }
@@ -177,15 +207,18 @@ final class DedupIndex(val config: DedupConfig) {
   /** Indices of `blocks` in the order Alg. 1 examines them. Magnitude keys
     * are computed once per block; the sort is stable, so ties keep write order.
     */
-  private def examPermutation(blocks: Vector[TensorBlock]): IndexedSeq[Int] = config.order match {
+  private def examPermutation(blocks: Vector[TensorBlock]): Array[Int] = config.order match {
     case ExamOrder.MagnitudeAscending =>
-      val keys = blocks.map(b => Magnitude.thirdQuartile(b.data))
-      blocks.indices.sortBy(keys)
-    case ExamOrder.Natural => blocks.indices
+      val keys = new Array[Double](blocks.size)
+      val it = blocks.iterator
+      var i = 0
+      while (i < keys.length) { keys(i) = Magnitude.thirdQuartile(it.next().data); i += 1 }
+      DedupIndex.stableOrder(keys)
+    case ExamOrder.Natural => Array.range(0, blocks.size)
   }
 
   private[core] def examOrder(blocks: Vector[TensorBlock]): Vector[TensorBlock] =
-    examPermutation(blocks).map(blocks).toVector
+    examPermutation(blocks).toVector.map(blocks)
 
   // -- public API ----------------------------------------------------------
 
@@ -252,27 +285,32 @@ final class DedupIndex(val config: DedupConfig) {
     var a = a0
     val batch = config.gate.map(_.checkEvery).getOrElse(Int.MaxValue)
     var i = 0
-    while (i < ordered.size) {
-      val upTo = math.min(i + batch, ordered.size)
+    while (i < ordered.length) {
+      val upTo = math.min(i + batch, ordered.length)
       var j = i
       while (j < upTo) {
         val k = ordered(j)
         val b = blocks(k)
         val rec = recordOf(k)
         val p = positionOf(k)
-        probe(b) match {
-          case (Some(g), _) if !stopped =>
-            rec.assign(p, g, g.repIdx)
-            current.foreach(_(b.ref) = distinctBuf(g.repIdx).data)
-            merged += 1
-          case (Some(g), _) =>
-            // Gate tripped: record membership but keep a private distinct copy
-            // (Sec. 4.3 Step 4 — the block is NOT replaced).
-            distinctBuf += b
-            rec.assign(p, g, distinctBuf.size - 1)
-          case (None, keys) =>
-            val g = newGroup(b, keys)
-            rec.assign(p, g, g.repIdx)
+        // A probe, timed for Table 9, is computing the keys and the lookup.
+        val t0 = System.nanoTime()
+        val keys = keysOf(b)
+        val g = find(b, keys)
+        probeNanosTotal += System.nanoTime() - t0
+        probesTotal += 1
+        if (g == null) {
+          val fresh = newGroup(b, keys)
+          rec.assign(p, fresh, fresh.repIdx)
+        } else if (!stopped) {
+          rec.assign(p, g, g.repIdx)
+          if (current.isDefined) current.get(b.ref) = distinctBuf(g.repIdx).data
+          merged += 1
+        } else {
+          // Gate tripped: record membership but keep a private distinct copy
+          // (Sec. 4.3 Step 4 — the block is NOT replaced).
+          distinctBuf += b
+          rec.assign(p, g, distinctBuf.size - 1)
         }
         j += 1
       }
@@ -365,4 +403,37 @@ object DedupIndex {
   /** Row-major order of block positions. */
   private val RowMajor: Ordering[BlockId] = (a, b) =>
     if (a.row != b.row) Integer.compare(a.row, b.row) else Integer.compare(a.col, b.col)
+
+  private val NoKeys = new Array[BandKey](0)
+
+  /** The indices of `keys` ordered by key in `java.lang.Double.compare` order,
+    * ties in index order: a bottom-up merge sort over primitive arrays, so
+    * no comparison boxes or allocates.
+    */
+  private[core] def stableOrder(keys: Array[Double]): Array[Int] = {
+    val n = keys.length
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      // Merge each pair of sorted runs [lo, mid) and [mid, hi) into dst.
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(mid + width, n)
+        var i = lo; var j = mid; var k = lo
+        while (k < hi) {
+          // Taking the left run on ties keeps the sort stable.
+          if (j == hi || (i < mid && java.lang.Double.compare(keys(src(i)), keys(src(j))) <= 0)) {
+            dst(k) = src(i); i += 1
+          } else { dst(k) = src(j); j += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
+  }
 }

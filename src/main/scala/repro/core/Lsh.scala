@@ -4,11 +4,16 @@ import scala.util.Random
 
 /** A locality-sensitive signature: equality of the full signature is the
   * collision predicate (the paper uses the signature directly as the index
-  * search key).
+  * search key). Equality and hash are by content; `values` is never mutated
+  * after the hasher fills it.
   */
-final case class Signature(values: Vector[Int]) {
-  /** Stable string key for hash-map indexes. */
-  def key: String = values.mkString(",")
+final class Signature(val values: Array[Int]) {
+  override def equals(o: Any): Boolean = o match {
+    case s: Signature => java.util.Arrays.equals(values, s.values)
+    case _ => false
+  }
+  override def hashCode: Int = java.util.Arrays.hashCode(values)
+  override def toString: String = values.mkString("Signature(", ",", ")")
 }
 
 /** Common interface for the paper's three hashing schemes (Sec. 4.2.2):
@@ -16,6 +21,8 @@ final case class Signature(values: Vector[Int]) {
   * and exact content hashing (Mistique exact).
   */
 trait BlockHasher {
+  /** Number of values in every signature this hasher returns. */
+  def length: Int
   def signature(v: Array[Double]): Signature
 }
 
@@ -28,7 +35,11 @@ trait BlockHasher {
   * Deterministic in (dim, k, w, seed) so index builds are reproducible.
   */
 final class L2Lsh(val dim: Int, val k: Int, val w: Double, seed: Long) extends BlockHasher {
-  require(dim > 0 && k > 0 && w > 0)
+  require(dim > 0, s"L2Lsh dimension must be positive: dim = $dim")
+  require(k > 0, s"L2Lsh needs at least one hash: k = $k")
+  require(w > 0 && !w.isInfinite, s"L2Lsh width must be finite and positive: w = $w")
+
+  override def length: Int = k
 
   private val rnd = new Random(seed)
   private val a: Array[Array[Double]] = Array.fill(k)(Array.fill(dim)(rnd.nextGaussian()))
@@ -46,7 +57,7 @@ final class L2Lsh(val dim: Int, val k: Int, val w: Double, seed: Long) extends B
       out(i) = math.floor((dot + b(i)) / w).toInt
       i += 1
     }
-    Signature(out.toVector)
+    new Signature(out)
   }
 }
 
@@ -60,7 +71,11 @@ final class L2Lsh(val dim: Int, val k: Int, val w: Double, seed: Long) extends B
   */
 final class MinHashHasher(val dim: Int, val perms: Int, val binWidth: Double, seed: Long)
     extends BlockHasher {
-  require(dim > 0 && perms > 0 && binWidth > 0)
+  require(dim > 0, s"MinHash dimension must be positive: dim = $dim")
+  require(perms > 0, s"MinHash needs at least one permutation: perms = $perms")
+  require(binWidth > 0 && !binWidth.isInfinite, s"MinHash bin width must be finite and positive: binWidth = $binWidth")
+
+  override def length: Int = perms
 
   private val rnd = new Random(seed)
   private val LargePrime = 2147483647L // 2^31 - 1
@@ -95,7 +110,7 @@ final class MinHashHasher(val dim: Int, val perms: Int, val binWidth: Double, se
       out(p) = min.toInt
       p += 1
     }
-    Signature(out.toVector)
+    new Signature(out)
   }
 }
 
@@ -103,10 +118,12 @@ final class MinHashHasher(val dim: Int, val perms: Int, val binWidth: Double, se
   * blocks are identical. Models Mistique's exact deduplication.
   */
 final class ExactHasher extends BlockHasher {
+  override def length: Int = 2
+
   override def signature(v: Array[Double]): Signature = {
     var h = 1125899906842597L
     var i = 0
     while (i < v.length) { h = 31 * h + java.lang.Double.doubleToLongBits(v(i)); i += 1 }
-    Signature(Vector((h >>> 32).toInt, h.toInt))
+    new Signature(Array((h >>> 32).toInt, h.toInt))
   }
 }

@@ -11,14 +11,6 @@ package repro.core
   */
 object Magnitude {
 
-  /** Mean absolute value. */
-  def mean(v: Array[Double]): Double = {
-    require(v.nonEmpty)
-    var s = 0.0; var i = 0
-    while (i < v.length) { s += math.abs(v(i)); i += 1 }
-    s / v.length
-  }
-
   /** p-th percentile (p in [0,100]) of absolute values, linear interpolation
     * between the order statistics `lo` and `lo + 1` of |v|. Both are found by
     * selection in `java.lang.Double.compare` order, the total order
@@ -68,8 +60,6 @@ object Magnitude {
   private def swap(a: Array[Double], i: Int, j: Int): Unit = {
     val t = a(i); a(i) = a(j); a(j) = t
   }
-
-  def median(v: Array[Double]): Double = percentile(v, 50)
 
   /** Default aggregate used by the dedup index: 3rd quartile of |w|. */
   def thirdQuartile(v: Array[Double]): Double = percentile(v, 75)

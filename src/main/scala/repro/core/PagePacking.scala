@@ -34,21 +34,66 @@ object PagePacking {
 
     def sharingFreq(item: Int): Int = owners.getOrElse(item, Set.empty).size
 
-    /** Storage position of each item: its index in the item list of its
-      * lowest-id owning tensor. Packers chunk class items in this order so
-      * that positionally adjacent blocks land on the same page — which is
-      * what makes pages reusable when a model diverges on a contiguous
-      * region (online packing, Table 13).
+    /** Storage position of each item, indexed by item: its index in the item
+      * list of its lowest-id tensor, or `Int.MaxValue` if no tensor lists it.
+      * Packers chunk class items in this order so that positionally adjacent
+      * blocks land on the same page — which is what makes pages reusable when
+      * a model diverges on a contiguous region (online packing, Table 13).
       */
-    lazy val positionRank: Map[Int, Int] = {
-      val rank = scala.collection.mutable.HashMap.empty[Int, Int]
-      for ((_, items) <- tensors.toSeq.sortBy(_._1); (item, i) <- items.zipWithIndex)
-        if (!rank.contains(item)) rank(item) = i
-      rank.toMap
+    private lazy val positionRank: Array[Int] = {
+      val ids = tensors.keys.toArray
+      java.util.Arrays.sort(ids)
+      var min = 0; var max = -1
+      var t = 0
+      while (t < ids.length) {
+        val it = tensors(ids(t)).iterator
+        while (it.hasNext) { val item = it.next(); min = math.min(min, item); max = math.max(max, item) }
+        t += 1
+      }
+      requireNonNegative(min)
+      val rank = new Array[Int](max + 1)
+      java.util.Arrays.fill(rank, Int.MaxValue)
+      t = 0
+      while (t < ids.length) {
+        val it = tensors(ids(t)).iterator
+        var pos = 0
+        while (it.hasNext) {
+          val item = it.next()
+          if (rank(item) == Int.MaxValue) rank(item) = pos
+          pos += 1
+        }
+        t += 1
+      }
+      rank
     }
 
-    def byPosition(items: Seq[Int]): Vector[Int] =
-      items.toVector.sortBy(i => (positionRank.getOrElse(i, Int.MaxValue), i))
+    /** `items` by (storage position, item): one primitive sort of
+      * `(rank << 32) | item`, which orders like the pair since both are
+      * non-negative.
+      */
+    def byPosition(items: Seq[Int]): Vector[Int] = {
+      val rank = positionRank
+      val keys = new Array[Long](items.size)
+      val it = items.iterator
+      var min = 0
+      var k = 0
+      while (k < keys.length) {
+        val item = it.next()
+        min = math.min(min, item)
+        val r = if (item >= 0 && item < rank.length) rank(item) else Int.MaxValue
+        keys(k) = (r.toLong << 32) | item
+        k += 1
+      }
+      requireNonNegative(min)
+      java.util.Arrays.sort(keys)
+      val out = Vector.newBuilder[Int]
+      k = 0
+      while (k < keys.length) { out += keys(k).toInt; k += 1 }
+      out.result()
+    }
+
+    private def requireNonNegative(minItem: Int): Unit =
+      require(minItem >= 0, s"items are indices into L, hence non-negative: $minItem")
 
     /** Restrict the problem to a subset of items (used by two-stage). */
     def restrict(items: Set[Int]): Problem =
@@ -122,7 +167,15 @@ object PagePacking {
     * order, flagged `true` when it is a fresh chunk.
     */
   private def stage1(p: Problem, existing: Vector[Set[Int]]): Vector[(Vector[Int], Boolean)] = {
-    lazy val liveItems = p.tensors.values.flatten.toSet
+    lazy val liveItems = {
+      val live = mutable.BitSet.empty
+      val tensors = p.tensors.valuesIterator
+      while (tensors.hasNext) {
+        val it = tensors.next().iterator
+        while (it.hasNext) live += it.next()
+      }
+      live
+    }
     val available = existing.distinct.filter(pg => pg.nonEmpty && pg.subsetOf(liveItems))
     val classes = EquivalentClass.classesLocal(p.owners).toVector.sortBy { case (ts, items) =>
       (-items.size, ts.toVector.sorted.mkString(","))

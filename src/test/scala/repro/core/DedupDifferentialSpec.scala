@@ -7,10 +7,13 @@ import repro.core.PagePacking.{Problem, twoStageReusing}
 import repro.model.{Model, ModelGen}
 import repro.model.ModelGen.EmbeddingShape
 
-/** `DedupIndex` (F kept per tensor) against `ReferenceDedupIndex` (F keyed by
-  * logical block): the same random sequence of adds, removals and re-adds
-  * must leave both with the same stats, F, owners, groups, packing problem
-  * and online packing after every step.
+/** `DedupIndex` (F kept per tensor, `BandKey` index keys, a primitive exam
+  * sort) against `ReferenceDedupIndex` (F keyed by logical block, string
+  * index keys, a boxed exam sort): the same random sequence of adds, removals
+  * and re-adds must leave both with the same stats, F, owners, groups,
+  * packing problem and online packing after every step. A band key that
+  * collided where the string key does not, or the reverse, shows as a
+  * different merge.
   */
 class DedupDifferentialSpec extends AnyFunSuite {
   import DedupDifferentialSpec._

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.model.ModelGen
 import scala.util.Random
@@ -292,6 +294,13 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(idx.addModel(Seq(mkTensor(2, Seq(shared.clone()))), None).merged == 1)
   }
 
+  test("Gate rejects a bad period or drop, naming the value") {
+    def message(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
+    assert(message(Gate(checkEvery = 0, maxDrop = 0.1)).contains("checkEvery = 0"))
+    assert(message(Gate(checkEvery = 5, maxDrop = -0.1)).contains("maxDrop = -0.1"))
+    assert(message(Gate(checkEvery = 5, maxDrop = Double.NaN)).contains("maxDrop = NaN"))
+  }
+
   test("addModel rejects a tensor listed twice, a foreign block and a repeated position") {
     val idx = Detectors.mistiqueExact()
     idx.addModel(Seq(mkTensor(1, Seq(vec(1)))), None)
@@ -330,6 +339,17 @@ class DedupIndexSpec extends AnyFunSuite {
     assertMagnitudeOrder(t.blocks)
     val order = Detectors.proposed(dim).examOrder(t.blocks).map(_.ref.blockId.row)
     assert(order == Vector(4, 0, 1, 2, 3, 5))
+  }
+
+  test("property: stableOrder equals a stable sortBy with ties, signed zeros, infinities and NaN") {
+    val value = Gen.frequency(3 -> Gen.chooseNum(-1e6, 1e6), 3 -> Gen.oneOf(1.0, -1.0, 2.5, 1e-300),
+      1 -> Gen.oneOf(0.0, -0.0), 1 -> Gen.oneOf(Double.PositiveInfinity, Double.NegativeInfinity),
+      1 -> Gen.oneOf(Double.NaN, java.lang.Double.longBitsToDouble(0x7ff0000000000001L)))
+    val keysGen = Gen.oneOf(Gen.choose(0, 8), Gen.choose(9, 200)).flatMap(Gen.listOfN(_, value)).map(_.toArray)
+    (1 to 1000).foreach { i =>
+      val keys = keysGen.pureApply(Gen.Parameters.default, Seed(i.toLong))
+      assert(DedupIndex.stableOrder(keys).toSeq == keys.indices.sortBy(keys), s"seed $i: ${keys.mkString(",")}")
+    }
   }
 
   test("natural exam order is write order") {

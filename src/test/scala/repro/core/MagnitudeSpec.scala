@@ -15,10 +15,6 @@ class MagnitudeSpec extends AnyFunSuite {
   private def forAll2[A, B](ga: Gen[A], gb: Gen[B], n: Int = 100)(body: (A, B) => Unit): Unit =
     forAll(Gen.zip(ga, gb), n)(t => body(t._1, t._2))
 
-  test("mean of absolute values") {
-    assert(Magnitude.mean(Array(-1.0, 2.0, -3.0)) == 2.0)
-  }
-
   test("percentile endpoints are min and max of |v|") {
     val v = Array(-5.0, 1.0, 3.0, -2.0)
     assert(Magnitude.percentile(v, 0) == 1.0)
@@ -26,11 +22,11 @@ class MagnitudeSpec extends AnyFunSuite {
   }
 
   test("median of an odd-length array is the middle |value|") {
-    assert(Magnitude.median(Array(9.0, -1.0, 5.0)) == 5.0)
+    assert(Magnitude.percentile(Array(9.0, -1.0, 5.0), 50) == 5.0)
   }
 
   test("median of an even-length array interpolates") {
-    assert(Magnitude.median(Array(1.0, 2.0, 3.0, 4.0)) == 2.5)
+    assert(Magnitude.percentile(Array(1.0, 2.0, 3.0, 4.0), 50) == 2.5)
   }
 
   test("thirdQuartile sits between median and max") {
@@ -45,7 +41,6 @@ class MagnitudeSpec extends AnyFunSuite {
   }
 
   test("empty input is rejected") {
-    intercept[IllegalArgumentException](Magnitude.mean(Array.empty[Double]))
     intercept[IllegalArgumentException](Magnitude.percentile(Array.empty[Double], 50))
   }
 
@@ -64,14 +59,6 @@ class MagnitudeSpec extends AnyFunSuite {
       val p75 = Magnitude.percentile(v, 75)
       assert(p25 <= p75 + 1e-9)
       assert(p25 >= abs.min - 1e-9 && p75 <= abs.max + 1e-9)
-    }
-  }
-
-  test("property: mean(|v|) lies within [min,max] of |v|") {
-    forAll(vecGen) { v =>
-      val abs = v.map(math.abs)
-      val m = Magnitude.mean(v)
-      assert(m >= abs.min - 1e-9 && m <= abs.max + 1e-9)
     }
   }
 

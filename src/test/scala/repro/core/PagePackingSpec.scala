@@ -177,6 +177,21 @@ class PagePackingSpec extends AnyFunSuite {
     assert(p.tensors.keys.forall(r.finalPacking.coversExactly(p, _)))
   }
 
+  test("property: byPosition equals a tuple sortBy on (first position in the lowest-id tensor, item)") {
+    val rnd = new Random(11)
+    var checked = 0
+    while (checked < 300) PagePackingSpec.randomProblem(rnd).foreach { p =>
+      val rank = scala.collection.mutable.HashMap.empty[Int, Int]
+      for ((_, items) <- p.tensors.toSeq.sortBy(_._1); (item, i) <- items.zipWithIndex)
+        if (!rank.contains(item)) rank(item) = i
+      // A class's items, plus items no tensor lists (ranked last, by item).
+      val extra = Vector.fill(rnd.nextInt(3))(p.owners.size + rnd.nextInt(50))
+      val items = rnd.shuffle(p.owners.keys.toVector.filter(_ => rnd.nextBoolean()) ++ extra.distinct)
+      assert(p.byPosition(items) == items.sortBy(i => (rank.getOrElse(i, Int.MaxValue), i)), s"$p: $items")
+      checked += 1
+    }
+  }
+
   test("fromDedup orders a tensor's items by BlockId and removes intra-tensor dups") {
     val dim = 8
     def vec(seed: Int) = { val r = new Random(seed); Array.fill(dim)(r.nextGaussian()) }

@@ -7,10 +7,13 @@ import scala.collection.mutable
   * ref's group, and each group keeps its member refs. Removal filters every
   * live ref by tensor and rehashes a dying group's representative to find its
   * index keys; `owners` and `Problem` are rebuilt from F by `groupBy`. The
-  * exam key is the 3rd quartile of a fully sorted |v|. The differential
-  * property in `DedupDifferentialSpec` drives both indexes with the same steps.
+  * index keys are strings (`ReferenceDedupIndex.stringKeys`), not
+  * `BandKey`s. The exam key is the 3rd quartile of a fully sorted |v|, and
+  * the exam order a boxed `sortBy`. The differential property in
+  * `DedupDifferentialSpec` drives both indexes with the same steps.
   */
 final class ReferenceDedupIndex(val config: DedupConfig) {
+  import ReferenceDedupIndex.stringKeys
 
   /** A similarity group: representative (index into L) + member refs. */
   final class Group(val id: Int, val repIdx: Int) {
@@ -36,7 +39,7 @@ final class ReferenceDedupIndex(val config: DedupConfig) {
     val t0 = System.nanoTime()
     val res = config.matcher match {
       case m: SignatureMatcher =>
-        val keys = m.keys(block.data)
+        val keys = stringKeys(m.hasher.signature(block.data).values, m.bands)
         val hit = keys.iterator.flatMap(bySig.get).find { g =>
           !m.verifyContent || distinctBuf(g.repIdx).sameContent(block)
         }
@@ -184,7 +187,8 @@ final class ReferenceDedupIndex(val config: DedupConfig) {
       if (g.members.isEmpty) {
         config.matcher match {
           case m: SignatureMatcher =>
-            m.keys(distinctBuf(g.repIdx).data).foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
+            stringKeys(m.hasher.signature(distinctBuf(g.repIdx).data).values, m.bands)
+              .foreach(k => if (bySig.get(k).contains(g)) bySig.remove(k))
           case _ => ()
         }
         groups -= g
@@ -210,4 +214,15 @@ final class ReferenceDedupIndex(val config: DedupConfig) {
     val tensors = logical.map { case (tid, seq) => tid -> seq.distinct }
     PagePacking.Problem(owners, tensors, l, Some(logical))
   }
+}
+
+object ReferenceDedupIndex {
+  /** Index keys as strings: each band of the signature becomes
+    * "band:v1,v2,...". The encoding is injective, so two blocks share a key
+    * exactly when they share a band number and that band's values.
+    */
+  def stringKeys(sig: Array[Int], bands: Int): Seq[String] =
+    if (bands <= 1) Seq("0:" + sig.mkString(","))
+    else sig.toVector.grouped(math.max(1, sig.length / bands)).zipWithIndex
+      .map { case (chunk, i) => s"$i:${chunk.mkString(",")}" }.toSeq
 }
