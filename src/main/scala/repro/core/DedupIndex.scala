@@ -227,9 +227,10 @@ final class DedupIndex(val config: DedupConfig) {
     *
     * Rejected before the index changes: a model with no blocks; a block whose
     * length differs from the index's dimension (the length of the first block
-    * the index stored, else of this model's first block); a tensor whose id is
-    * already live in the index or appears twice in the model; a block whose
-    * ref names another tensor or repeats a `BlockId` of its tensor.
+    * the index stored, else of this model's first block) or that holds a NaN
+    * or infinite weight; a tensor whose id is already live in the index or
+    * appears twice in the model; a block whose ref names another tensor or
+    * repeats a `BlockId` of its tensor.
     *
     * @return this model's stats; mappings accumulate in [[mapping]].
     */
@@ -245,6 +246,12 @@ final class DedupIndex(val config: DedupConfig) {
       for (b <- t.blocks) {
         require(b.data.length == dim, s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
           s"has length ${b.data.length}, index dimension is $dim")
+        val data = b.data
+        var i = 0
+        while (i < dim && java.lang.Double.isFinite(data(i))) i += 1
+        val bad = i // the message closure captures a val, so the loop counter stays unboxed
+        require(bad == dim, s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
+          s"has the non-finite weight ${data(bad)} at position $bad")
         require(b.ref.tensorId == t.id, s"tensor ${t.name} (id ${t.id}) holds block ${b.ref} of another tensor")
       }
       val order = t.blocks.indices.sortBy(t.blocks(_).ref.blockId)(DedupIndex.RowMajor)
@@ -346,18 +353,6 @@ final class DedupIndex(val config: DedupConfig) {
     rec.foreachLive(items += rec.lIdx(_))
     t -> items.result()
   }.toMap
-
-  /** Owners of each distinct block: distinct index -> set of tensor ids.
-    * Input to equivalent-class page packing (Sec. 5).
-    */
-  def owners: Map[Int, Set[Int]] = {
-    val acc = mutable.HashMap.empty[Int, Set[Int]]
-    for ((t, rec) <- records) rec.foreachLive { p =>
-      val l = rec.lIdx(p)
-      acc(l) = acc.getOrElse(l, Set.empty[Int]) + t
-    }
-    acc.toMap
-  }
 
   def numGroups: Int = groups.size
   def numDistinct: Int = distinctBuf.size

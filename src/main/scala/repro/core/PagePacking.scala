@@ -13,26 +13,40 @@ import scala.collection.mutable
   */
 object PagePacking {
 
-  /** A packing problem.
+  /** A packing problem: each tensor's logical item list and the page
+    * capacity. Everything else derives from the lists: a tensor's items are
+    * its list's first occurrences, and an item's owners are the tensors that
+    * list it, so the equivalent classes (Sec. 5.3) follow too.
     *
-    * @param owners  item -> set of owning tensor ids
-    * @param tensors tensorId -> this tensor's items in storage order
-    *                (first-occurrence order of its logical blocks), no dups
+    * @param logical tensorId -> the item (L index) of each of its logical
+    *                blocks in storage order, duplicates kept (a tensor whose
+    *                two positions dedup to one distinct block lists it
+    *                twice). The default paging baseline packs THIS sequence
+    *                — that is what "pack in write order" means physically.
     * @param l       page capacity in blocks
     */
-  final case class Problem(owners: Map[Int, Set[Int]], tensors: Map[Int, Vector[Int]], l: Int,
-                           logicalTensors: Option[Map[Int, Vector[Int]]] = None) {
+  final case class Problem(logical: Map[Int, Vector[Int]], l: Int) {
     require(l > 0, "page capacity must be positive")
-    require(tensors.values.forall(v => v.distinct.size == v.size), "tensor item lists must be dup-free")
 
-    /** The tensor's logical block sequence mapped to items, duplicates kept
-      * (a tensor whose two positions dedup to one distinct block lists it
-      * twice). The default paging baseline packs THIS sequence — that is
-      * what "pack in write order" means physically.
+    /** tensorId -> its items in storage order: the first occurrences of its
+      * logical list.
       */
-    def logicalOf(t: Int): Vector[Int] = logicalTensors.getOrElse(tensors)(t)
+    val tensors: Map[Int, Vector[Int]] = logical.map { case (t, seq) => t -> seq.distinct }
 
-    def sharingFreq(item: Int): Int = owners.getOrElse(item, Set.empty).size
+    /** item -> the tensors that list it. */
+    lazy val owners: Map[Int, Set[Int]] = {
+      val acc = mutable.HashMap.empty[Int, Set[Int]]
+      for ((t, items) <- tensors; i <- items) acc(i) = acc.getOrElse(i, Set.empty[Int]) + t
+      acc.toMap
+    }
+
+    /** The equivalent classes (Sec. 5.3): items grouped by owner set, each
+      * class's items ascending. Computed per call, not kept.
+      */
+    def classes: Map[Set[Int], Vector[Int]] =
+      owners.toVector.groupBy(_._2).map { case (ts, pairs) => ts -> pairs.map(_._1).sorted }
+
+    def sharingFreq(item: Int): Int = owners.get(item).fold(0)(_.size)
 
     /** Storage position of each item, indexed by item: its index in the item
       * list of its lowest-id tensor, or `Int.MaxValue` if no tensor lists it.
@@ -97,8 +111,7 @@ object PagePacking {
 
     /** Restrict the problem to a subset of items (used by two-stage). */
     def restrict(items: Set[Int]): Problem =
-      Problem(owners.view.filterKeys(items).toMap,
-        tensors.view.mapValues(_.filter(items)).filter(_._2.nonEmpty).toMap, l)
+      Problem(logical.view.mapValues(_.filter(items)).filter(_._2.nonEmpty).toMap, l)
   }
 
   object Problem {
@@ -107,11 +120,7 @@ object PagePacking {
       * are visited in row-major BlockId order, which is the order the index
       * keeps them in.
       */
-    def fromDedup(idx: DedupIndex, l: Int): Problem = {
-      val logical = idx.logicalItems
-      val tensors = logical.map { case (tid, seq) => tid -> seq.distinct }
-      Problem(idx.owners, tensors, l, Some(logical))
-    }
+    def fromDedup(idx: DedupIndex, l: Int): Problem = Problem(idx.logicalItems, l)
   }
 
   /** A packing scheme: each page is the vector of items it holds. */
@@ -133,12 +142,17 @@ object PagePacking {
       distinctPages.indices.filter(i => distinctPages(i).forall(set)).toVector
     }
 
-    /** Constraint (5): the union of tensor-contained pages is exactly the set. */
-    def coversExactly(p: Problem, t: Int): Boolean = {
-      val set = p.tensors(t).toSet
-      val union = pagesOf(p, t).iterator.map(distinctPages).foldLeft(Set.empty[Int])(_ ++ _)
-      union == set
+    /** Tensor t's items that lie on none of the `contained` pages (indices
+      * into distinctPages, as `pagesOf` returns them), in t's item order.
+      */
+    def uncovered(p: Problem, t: Int, contained: Seq[Int]): Vector[Int] = {
+      val covered = mutable.BitSet.empty
+      contained.foreach(covered ++= distinctPages(_))
+      p.tensors(t).filterNot(covered)
     }
+
+    /** Constraint (5): the union of tensor-contained pages is exactly the set. */
+    def coversExactly(p: Problem, t: Int): Boolean = uncovered(p, t, pagesOf(p, t)).isEmpty
 
     def capacityRespected(l: Int): Boolean = pages.forall(_.size <= l)
   }
@@ -149,7 +163,7 @@ object PagePacking {
   // -----------------------------------------------------------------------
   def baseline(p: Problem): Packing = {
     val pages = p.tensors.keys.toVector.sorted.flatMap { t =>
-      p.logicalOf(t).grouped(p.l).toVector.map(_.distinct)
+      p.logical(t).grouped(p.l).toVector.map(_.distinct)
     }
     // Identical-page elimination is applied by numDistinctPages; keep the raw
     // pages so coversExactly sees every tensor's own layout.
@@ -177,7 +191,7 @@ object PagePacking {
       live
     }
     val available = existing.distinct.filter(pg => pg.nonEmpty && pg.subsetOf(liveItems))
-    val classes = EquivalentClass.classesLocal(p.owners).toVector.sortBy { case (ts, items) =>
+    val classes = p.classes.toVector.sortBy { case (ts, items) =>
       (-items.size, ts.toVector.sorted.mkString(","))
     }
     classes.flatMap { case (_, items) =>
@@ -251,35 +265,27 @@ object PagePacking {
 
   // -----------------------------------------------------------------------
   // Online packing (Sec. 5.4 "Online Packing"): add tensors one at a time;
-  // each step re-runs the packer over the new tensor plus all related
-  // tensors and diffs page sets against the current scheme.
+  // each step re-packs the tensors present so far, reusing the current
+  // scheme's pages, and diffs page sets against it.
   // -----------------------------------------------------------------------
   final case class OnlineStep(tensorId: Int, reused: Int, discarded: Int, created: Int)
   final case class OnlineResult(steps: Vector[OnlineStep], finalPacking: Packing)
 
-  /** @param arrival tensors in arrival order as (tensorId, items);
-    *                owners must describe the FINAL ownership (the index knows,
-    *                at each step, which earlier tensors share each block).
+  /** Packs `p` restricted to each prefix of `arrival` (tensor ids) in turn,
+    * each step reusing the previous step's pages, and counts each step's
+    * page diff.
     */
-  def online(owners: Map[Int, Set[Int]], arrival: Vector[(Int, Vector[Int])], l: Int): OnlineResult = {
+  def online(p: Problem, arrival: Seq[Int]): OnlineResult = {
+    require(arrival.distinct.size == arrival.size && arrival.forall(p.logical.contains),
+      s"arrival must list distinct tensors of the problem: ${arrival.mkString(", ")}")
     var currentPages = Vector.empty[Set[Int]]
-    val steps = mutable.ArrayBuffer.empty[OnlineStep]
-    val seen = mutable.ArrayBuffer.empty[(Int, Vector[Int])]
-    for ((tid, items) <- arrival) {
-      seen += ((tid, items))
-      val presentTensors = seen.map(_._1).toSet
-      // Ownership restricted to tensors present so far.
-      val presentOwners = seen.flatMap(_._2).distinct.map { i =>
-        i -> owners(i).intersect(presentTensors)
-      }.toMap
-      val prob = Problem(presentOwners, seen.toMap, l)
-      val next = twoStageReusing(prob, currentPages).distinctPages
+    val steps = arrival.indices.map { k =>
+      val present = Problem(arrival.take(k + 1).map(t => t -> p.logical(t)).toMap, p.l)
       val prev = currentPages
-      val reused = next.count(prev.contains)
-      val discarded = prev.count(pg => !next.contains(pg))
-      val created = next.count(pg => !prev.contains(pg))
-      steps += OnlineStep(tid, reused, discarded, created)
+      val next = twoStageReusing(present, prev).distinctPages
       currentPages = next
+      OnlineStep(arrival(k), reused = next.count(prev.contains), discarded = prev.count(!next.contains(_)),
+        created = next.count(!prev.contains(_)))
     }
     OnlineResult(steps.toVector, Packing(currentPages.map(_.toVector.sorted)))
   }

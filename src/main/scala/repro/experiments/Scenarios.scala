@@ -4,7 +4,7 @@ import repro.bufferpool.LocalitySetPolicy
 import repro.core.PagePacking.{Packing, Problem, twoStage}
 import repro.core.{BlockRef, DedupIndex, Detectors, ModelAccuracy, ModelDedupStats}
 import repro.device.StorageDevice
-import repro.model.ModelGen.{EmbeddingFamily, EmbeddingShape}
+import repro.model.ModelGen.EmbeddingShape
 import repro.model.{AccuracyEval, Model, ModelGen}
 import repro.serving.{InferenceEngine, ServingConfig, ServingReport}
 import repro.storage.PageStore
@@ -60,13 +60,10 @@ object Scenarios {
   /** The no-dedup problem: every logical block is its own item. */
   def plainProblemOf(models: Seq[Model], l: Int): Problem = {
     var next = 0
-    val perTensor = models.flatMap(_.tensors).map { t =>
-      val items = Vector.tabulate(t.numBlocks) { i => next + i }
+    Problem(models.flatMap(_.tensors).map { t =>
       next += t.numBlocks
-      t.id -> items
-    }.toMap
-    val owners = perTensor.flatMap { case (tid, items) => items.map(_ -> Set(tid)) }
-    Problem(owners, perTensor, l)
+      t.id -> Vector.range(next - t.numBlocks, next)
+    }.toMap, l)
   }
 
   /** Run the proposed detector over a model family and materialize stores. */

@@ -3,7 +3,7 @@ package repro.experiments
 import repro.core.PagePacking
 import repro.core.PagePacking.{Packing, Problem}
 import repro.core.{DedupIndex, Detectors, ModelDedupStats}
-import repro.device.InputSource
+import repro.device.{InputSource, StorageDevice}
 import repro.model.{AccuracyEval, Compression, Model, ModelGen}
 import repro.serving.{TfBaseline, TfConfig}
 import repro.storage.PageStore
@@ -54,24 +54,24 @@ object Tables {
   // ----------------------------------------------------------------------
   // Table 2: word2vec, six models, pool-size sweep, three configs.
   // ----------------------------------------------------------------------
-  def table2(): Table = {
-    val b = word2vec(6)
-    val ids = b.modelIds
-    val rows = for {
-      disk <- Seq(SsdEff, HddEff)
-      pool <- Seq(15, 10, 8)
-    } yield {
-      def run(dedup: Boolean, opt: Boolean) =
-        serve(b, ids, disk, pool.toLong * GB, dedup, opt,
-          W2v.computePerModel, W2v.inputBytes, W2v.pinnedPerModel)
-      Seq(disk.name, s"${pool}GB",
-        secs(run(dedup = false, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = true).totalSeconds))
+  def table2(): Table = poolSweep("Table 2",
+    "Word2Vec latency for six models across storage configurations (seconds)", word2vec(6),
+    Seq(SsdEff, HddEff), Seq(15, 10, 8), W2v.computePerModel, W2v.inputBytes, W2v.pinnedPerModel)
+
+  /** Tables 2, 6 and 7: one row per disk and pool size, serving every model
+    * w/o dedup, w/ dedup, and w/ dedup & optimized caching.
+    */
+  private def poolSweep(id: String, title: String, b: Built, disks: Seq[StorageDevice], pools: Seq[Int],
+                        computePerModel: Double, inputBytes: Long, pinnedPerModel: Long,
+                        probeRounds: Int = 8): Table = {
+    val rows = for (disk <- disks; pool <- pools) yield {
+      def run(dedup: Boolean, opt: Boolean) = secs(serve(b, b.modelIds, disk, pool.toLong * GB, dedup, opt,
+        computePerModel, inputBytes, pinnedPerModel, probeRounds).totalSeconds)
+      Seq(disk.name, s"${pool}GB", run(dedup = false, opt = false), run(dedup = true, opt = false),
+        run(dedup = true, opt = true))
     }
-    Table("Table 2", "Word2Vec latency for six models across storage configurations (seconds)",
-      Seq("disk type", "buffer pool size", "w/o dedup", "w/ dedup", "w/ dedup & optimized caching"),
-      rows)
+    Table(id, title,
+      Seq("disk type", "buffer pool size", "w/o dedup", "w/ dedup", "w/ dedup & optimized caching"), rows)
   }
 
   // ----------------------------------------------------------------------
@@ -176,48 +176,16 @@ object Tables {
   // ----------------------------------------------------------------------
   // Table 6: text classification latency across storage configurations.
   // ----------------------------------------------------------------------
-  def table6(): Table = {
-    val b = textClass
-    val ids = b.modelIds
-    val rows = for {
-      disk <- Seq(SsdEff, HddEff)
-      pool <- Seq(15, 10, 8)
-    } yield {
-      def run(dedup: Boolean, opt: Boolean) =
-        serve(b, ids, disk, pool.toLong * GB, dedup, opt,
-          Tc.computePerModel, Tc.inputBytes, Tc.pinnedPerModel)
-      Seq(disk.name, s"${pool}GB",
-        secs(run(dedup = false, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = true).totalSeconds))
-    }
-    Table("Table 6", "Text classification latency across storage configurations (seconds)",
-      Seq("disk type", "buffer pool size", "w/o dedup", "w/ dedup", "w/ dedup & optimized caching"),
-      rows)
-  }
+  def table6(): Table = poolSweep("Table 6",
+    "Text classification latency across storage configurations (seconds)", textClass,
+    Seq(SsdEff, HddEff), Seq(15, 10, 8), Tc.computePerModel, Tc.inputBytes, Tc.pinnedPerModel)
 
   // ----------------------------------------------------------------------
   // Table 7: FFNN transfer learning latency.
   // ----------------------------------------------------------------------
-  def table7(): Table = {
-    val b = ffnn
-    val ids = b.modelIds
-    val rows = for {
-      disk <- Seq(SsdEff, HddSeq)
-      pool <- Seq(9, 13)
-    } yield {
-      def run(dedup: Boolean, opt: Boolean) =
-        serve(b, ids, disk, pool.toLong * GB, dedup, opt,
-          Ffnn.computePerModel, Ffnn.inputBytes, Ffnn.pinnedPerModel, Ffnn.probeRounds)
-      Seq(disk.name, s"${pool}GB",
-        secs(run(dedup = false, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = false).totalSeconds),
-        secs(run(dedup = true, opt = true).totalSeconds))
-    }
-    Table("Table 7", "FFNN transfer learning latency (seconds)",
-      Seq("disk type", "buffer pool size", "w/o dedup", "w/ dedup", "w/ dedup & optimized caching"),
-      rows)
-  }
+  def table7(): Table = poolSweep("Table 7", "FFNN transfer learning latency (seconds)", ffnn,
+    Seq(SsdEff, HddSeq), Seq(9, 13), Ffnn.computePerModel, Ffnn.inputBytes, Ffnn.pinnedPerModel,
+    Ffnn.probeRounds)
 
   // ----------------------------------------------------------------------
   // Table 8: FFNN serving, netsDB vs TensorFlow.
@@ -336,8 +304,7 @@ object Tables {
   // ----------------------------------------------------------------------
   def table13(): Table = {
     val p = textClass.problem
-    val arrival = p.tensors.toVector.sortBy(_._1)
-    val r = PagePacking.online(p.owners, arrival, p.l)
+    val r = PagePacking.online(p, p.tensors.keys.toVector.sorted)
     val rows = r.steps.zipWithIndex.map { case (s, i) =>
       Seq((i + 1).toString, s"Model-${s.tensorId + 1}",
         s.reused.toString, s.discarded.toString, s.created.toString)

@@ -1,7 +1,5 @@
 package repro.model
 
-import repro.core.{Tensor, TensorBlock}
-
 /** Per-model compression techniques the paper composes with deduplication
   * (Sec. 7.6 / Table 14): magnitude pruning [27,28] and uniform k-bit
   * quantization [33]. Both return transformed weights (so deduplication can

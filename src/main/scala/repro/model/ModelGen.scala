@@ -1,6 +1,6 @@
 package repro.model
 
-import repro.core.{BlockId, BlockRef, Tensor, TensorBlock}
+import repro.core.{BlockRef, Tensor, TensorBlock}
 import scala.util.Random
 
 /** A servable model: one or more parameter tensors plus a (tiny, private)

@@ -17,6 +17,7 @@ final case class StoredPage(id: PageId, items: Set[Int], bytes: Long)
   * is private from then on. An update is a removal, a re-pack and a load.
   */
 final class PageStore(val pageBytes: Long) {
+  require(pageBytes > 0, s"page size must be positive: pageBytes = $pageBytes")
 
   /** Pages by `PageId.value`, which `load` assigns densely; null once removed. */
   private var pages = Array.empty[StoredPage]
@@ -36,11 +37,9 @@ final class PageStore(val pageBytes: Long) {
     pages = Array.tabulate(distinct.size)(i => StoredPage(PageId(i), distinct(i), pageBytes))
     ownersOf = Array.fill(distinct.size)(Set.empty[Int])
     live = distinct.size
-    for ((t, items) <- problem.tensors) {
+    for (t <- problem.tensors.keys) {
       val contained = packing.pagesOf(problem, t)
-      val covered = mutable.BitSet.empty
-      contained.foreach(covered ++= distinct(_))
-      val missing = items.filterNot(covered)
+      val missing = packing.uncovered(problem, t, contained)
       require(missing.isEmpty, s"packing does not exactly cover tensor $t (constraint 5): " +
         s"${missing.size} items lie on no page inside it: ${missing.sorted.take(10).mkString(", ")}" +
         (if (missing.size > 10) ", ..." else ""))

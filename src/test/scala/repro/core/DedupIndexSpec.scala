@@ -154,10 +154,11 @@ class DedupIndexSpec extends AnyFunSuite {
     val t2 = mkTensor(2, Seq(shared.clone(), vec(3)))
     val idx = Detectors.proposed(dim)
     idx.addModel(Seq(t1), None); idx.addModel(Seq(t2), None)
+    val owners = PagePacking.Problem.fromDedup(idx, l = 4).owners
     val sharedIdx = idx.mapping(BlockRef(1, BlockId(0, 0)))
-    assert(idx.owners(sharedIdx) == Set(1, 2))
+    assert(owners(sharedIdx) == Set(1, 2))
     val privIdx = idx.mapping(BlockRef(1, BlockId(1, 0)))
-    assert(idx.owners(privIdx) == Set(1))
+    assert(owners(privIdx) == Set(1))
   }
 
   test("multi-tensor models: blocks of all tensors are indexed") {
@@ -249,7 +250,7 @@ class DedupIndexSpec extends AnyFunSuite {
   // -- rejected input (the index must not change) -----------------------------
 
   private def state(idx: DedupIndex) =
-    (idx.mapping, idx.owners, idx.distinct.map(_.ref), idx.numGroups, idx.avgProbeSeconds)
+    (idx.mapping, idx.logicalItems, idx.distinct.map(_.ref), idx.numGroups, idx.avgProbeSeconds)
 
   test("addModel rejects mixed block lengths before changing the index") {
     val idx = Detectors.proposed(dim)
@@ -265,6 +266,23 @@ class DedupIndexSpec extends AnyFunSuite {
     val fresh = Detectors.mistiqueExact()
     intercept[IllegalArgumentException](fresh.addModel(Seq(mkTensor(3, Seq(vec(4), Array(1.0)))), None))
     assert(fresh.numDistinct == 0 && fresh.mapping.isEmpty)
+  }
+
+  test("addModel rejects a NaN or infinite weight, naming tensor, block and position, before changing the index") {
+    // A NaN block's L2-LSH signature is all zeros, so without the check it
+    // joins the group of any block with a zero band.
+    val idx = Detectors.proposed(4, w = 0.3)
+    idx.addModel(Seq(mkTensor(1, Seq(Array(0.01, -0.02, 0.015, 0.0)))), None)
+    val before = state(idx)
+    for ((x, pos) <- Seq(Double.NaN -> 0, Double.PositiveInfinity -> 2, Double.NegativeInfinity -> 3)) {
+      val data = Array(0.0, 0.0, 0.0, 0.0)
+      data(pos) = x
+      val bad = mkTensor(2, Seq(Array(0.01, -0.02, 0.015, 0.0), data))
+      val e = intercept[IllegalArgumentException](idx.addModel(Seq(bad), None))
+      assert(e.getMessage.contains(s"tensor t2 (id 2): block ${BlockId(1, 0)} has the non-finite weight $x " +
+        s"at position $pos"), e.getMessage)
+      assert(state(idx) == before)
+    }
   }
 
   test("addModel rejects a model with no blocks before changing the index") {

@@ -47,7 +47,7 @@ class DedupPropertiesSpec extends AnyFunSuite {
       tensors.foreach(t => idx.addModel(Seq(t), None))
       val expected = idx.mapping.toSeq.groupBy(_._2)
         .map { case (i, refs) => i -> refs.map(_._1.tensorId).toSet }
-      assert(idx.owners == expected, s"trial $trial")
+      assert(PagePacking.Problem.fromDedup(idx, l = 4).owners == expected, s"trial $trial")
     }
   }
 

@@ -31,7 +31,6 @@ class DetectorsSpec extends AnyFunSuite {
 
   test("the four detectors order compression as the paper reports") {
     // Family: model 0 is the base; models 1-2 drift slightly on every block.
-    val rnd = new Random(5)
     val base = (0 until 40).map(i => vec(100 + i, scale = 0.05))
     def drifted(seed: Int) = base.map(b => b.map(_ + new Random(seed).nextGaussian() * 0.004))
     val models = Vector(mkTensor(1, base), mkTensor(2, drifted(7)), mkTensor(3, drifted(8)))

@@ -203,16 +203,14 @@ final class ReferenceDedupIndex(val config: DedupConfig) {
   }
 
   /** The packing problem, derived from F as `Problem.fromDedup` once did: a
-    * tensor's logical items are its refs sorted row-major, and its items are
-    * their first occurrences.
+    * tensor's logical items are its refs sorted row-major.
     */
   def problem(l: Int): PagePacking.Problem = {
     val byTensor = mappingBuf.toVector.groupBy(_._1.tensorId)
     val logical = byTensor.map { case (tid, refs) =>
       tid -> refs.sortBy { case (r, _) => (r.blockId.row, r.blockId.col) }.map(_._2)
     }
-    val tensors = logical.map { case (tid, seq) => tid -> seq.distinct }
-    PagePacking.Problem(owners, tensors, l, Some(logical))
+    PagePacking.Problem(logical, l)
   }
 }
 

@@ -15,17 +15,13 @@ class InferenceEngineSpec extends AnyFunSuite {
   /** Two models (tensors 1 and 2) sharing 6 of 8 items; page = 2 items. */
   private def dedupStore: PageStore = {
     val shared = (0 to 5).toVector
-    val p = Problem(
-      owners = shared.map(_ -> Set(1, 2)).toMap ++ Map(6 -> Set(1), 7 -> Set(2)),
-      tensors = Map(1 -> (shared :+ 6), 2 -> (shared :+ 7)), l = 2)
+    val p = Problem(Map(1 -> (shared :+ 6), 2 -> (shared :+ 7)), l = 2)
     val s = new PageStore(10 * MB); s.load(twoStage(p), p); s
   }
 
   /** Same logical models without dedup: all pages private. */
   private def plainStore: PageStore = {
-    val p = Problem(
-      owners = (0 to 7).map(i => i -> Set(1)).toMap ++ (10 to 17).map(i => i -> Set(2)).toMap,
-      tensors = Map(1 -> (0 to 7).toVector, 2 -> (10 to 17).toVector), l = 2)
+    val p = Problem(Map(1 -> (0 to 7).toVector, 2 -> (10 to 17).toVector), l = 2)
     val s = new PageStore(10 * MB); s.load(twoStage(p), p); s
   }
 

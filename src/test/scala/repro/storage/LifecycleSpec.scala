@@ -2,7 +2,7 @@ package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.PagePacking.{Problem, twoStage}
-import repro.core.{BlockId, BlockRef, Detectors}
+import repro.core.Detectors
 import repro.experiments.Scenarios
 import repro.model.ModelGen
 import repro.model.ModelGen.EmbeddingShape
@@ -61,8 +61,8 @@ class LifecycleSpec extends AnyFunSuite {
     val (models, idx, _, _, store) = pipeline(2)
     models.foreach { m => store.removeTensor(m.primary.id); idx.removeTensor(m.primary.id) }
     assert(store.numPages == 0 && idx.numDistinct >= 0 && idx.mapping.isEmpty && idx.numGroups == 0)
-    assert(idx.owners.isEmpty)
-    assert(Problem.fromDedup(idx, l = 4).tensors.isEmpty)
+    val emptied = Problem.fromDedup(idx, l = 4)
+    assert(emptied.tensors.isEmpty && emptied.owners.isEmpty)
   }
 
   test("update = remove + re-add reuses the surviving index groups") {

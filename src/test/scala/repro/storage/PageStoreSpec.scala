@@ -8,9 +8,7 @@ import scala.util.Random
 class PageStoreSpec extends AnyFunSuite {
 
   /** Two tensors sharing items 0..3; items 4/5 private to t1, 6/7 to t2. */
-  private def problem: Problem = Problem(
-    owners = (0 to 3).map(_ -> Set(1, 2)).toMap ++ Map(4 -> Set(1), 5 -> Set(1), 6 -> Set(2), 7 -> Set(2)),
-    tensors = Map(1 -> Vector(0, 1, 2, 3, 4, 5), 2 -> Vector(0, 1, 2, 3, 6, 7)), l = 2)
+  private def problem: Problem = Problem(Map(1 -> Vector(0, 1, 2, 3, 4, 5), 2 -> Vector(0, 1, 2, 3, 6, 7)), l = 2)
 
   private def loadedStore: (PageStore, Packing) = {
     val p = problem
@@ -73,13 +71,19 @@ class PageStoreSpec extends AnyFunSuite {
   test("load fails when a packing does not exactly cover a tensor (constraint 5)") {
     // The no-dedup packing of the same two tensors: t2's items 6 and 7 lie on
     // no page inside t2's item set of the dedup problem.
-    val plain = Problem(owners = (0 to 5).map(_ -> Set(1)).toMap ++ (10 to 15).map(_ -> Set(2)).toMap,
-      tensors = Map(1 -> (0 to 5).toVector, 2 -> (10 to 15).toVector), l = 2)
+    val plain = Problem(Map(1 -> (0 to 5).toVector, 2 -> (10 to 15).toVector), l = 2)
     val e = intercept[IllegalArgumentException] {
       new PageStore(pageBytes = 64L << 20).load(twoStage(plain), problem)
     }
     assert(e.getMessage.contains("tensor 2"), e.getMessage)
     assert(e.getMessage.contains("6, 7"), e.getMessage)
+  }
+
+  test("PageStore rejects a non-positive page size, naming it") {
+    for (bytes <- Seq(0L, -1L)) {
+      val e = intercept[IllegalArgumentException](new PageStore(pageBytes = bytes))
+      assert(e.getMessage.contains(s"pageBytes = $bytes"), e.getMessage)
+    }
   }
 
   test("property: random removal orders keep owners, refcounts and exact cover consistent") {
