@@ -105,10 +105,12 @@ final case class ModelDedupStats(modelId: Int, accuracyBefore: Double, accuracyA
   * detector of Sec. 7.3 (see [[Detectors]]).
   *
   * F, the map from each logical block to its distinct block in L, is kept
-  * per tensor: one record per live tensor holds its refs in row-major
-  * `BlockId` order and, per position, the L index and the group. Removing a
-  * tensor touches only that record and its groups, and the packing problem
-  * reads each tensor's items straight from its record.
+  * per tensor: one record per live tensor holds, for each position p of its
+  * row-major block grid (block p of the `Tensor`), the L index and the group.
+  * A tensor enters with `addModel` and leaves whole with `removeTensor`; its
+  * record does not change in between. Removing a tensor touches only that
+  * record and its groups, and the packing problem reads each tensor's items
+  * straight from its record.
   */
 final class DedupIndex(val config: DedupConfig) {
 
@@ -119,36 +121,18 @@ final class DedupIndex(val config: DedupConfig) {
     var live = 0
   }
 
-  /** One live tensor's part of F. `refs` is in row-major `BlockId` order;
-    * position p maps to L index `lIdx(p)` through group `group(p)`, which is
-    * null once the block is removed.
+  /** One live tensor's part of F: position p, block p of tensor `t`, has ref
+    * `refs(p)` and maps to L index `lIdx(p)` through group `group(p)`. The
+    * record keeps `t`'s refs and grid, not its data.
     */
-  private final class TensorRecord(val refs: Array[BlockRef]) {
+  private final class TensorRecord(t: Tensor) {
+    val refs: Array[BlockRef] = t.blocks.iterator.map(_.ref).toArray
+    val rows: Int = t.rowBlocks
+    val cols: Int = t.colBlocks
     val lIdx = new Array[Int](refs.length)
     val group = new Array[Group](refs.length)
-    var live = 0
 
-    /** Position of `id` in `refs`, or -1. */
-    def positionOf(id: BlockId): Int = {
-      var lo = 0; var hi = refs.length - 1
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        val c = DedupIndex.RowMajor.compare(refs(mid).blockId, id)
-        if (c == 0) return mid
-        if (c < 0) lo = mid + 1 else hi = mid - 1
-      }
-      -1
-    }
-
-    def assign(p: Int, g: Group, l: Int): Unit = {
-      lIdx(p) = l; group(p) = g; g.live += 1; live += 1
-    }
-
-    /** Calls `f` on each live position, in row-major order. */
-    def foreachLive(f: Int => Unit): Unit = {
-      var p = 0
-      while (p < refs.length) { if (group(p) != null) f(p); p += 1 }
-    }
+    def assign(p: Int, g: Group, l: Int): Unit = { lIdx(p) = l; group(p) = g; g.live += 1 }
   }
 
   private val groups = mutable.LinkedHashSet.empty[Group] // creation order
@@ -229,8 +213,8 @@ final class DedupIndex(val config: DedupConfig) {
     * length differs from the index's dimension (the length of the first block
     * the index stored, else of this model's first block) or that holds a NaN
     * or infinite weight; a tensor whose id is already live in the index or
-    * appears twice in the model; a block whose ref names another tensor or
-    * repeats a `BlockId` of its tensor.
+    * appears twice in the model. A `Tensor` is row-major by construction, so
+    * its block p is its position p.
     *
     * @return this model's stats; mappings accumulate in [[mapping]].
     */
@@ -239,8 +223,7 @@ final class DedupIndex(val config: DedupConfig) {
     require(blocks.nonEmpty, s"model with tensors ${tensors.map(_.id).mkString("[", ",", "]")} has no blocks")
     val dim = distinctBuf.headOption.getOrElse(blocks.head).data.length
     val seen = mutable.HashSet.empty[Int]
-    // Each tensor's positions in row-major order, as indices into t.blocks.
-    val rowMajor = tensors.map { t =>
+    for (t <- tensors) {
       require(!records.contains(t.id), s"tensor ${t.name} (id ${t.id}) is already in the index; remove it first")
       require(seen.add(t.id), s"tensor ${t.name} (id ${t.id}) appears twice in the model")
       for (b <- t.blocks) {
@@ -252,27 +235,18 @@ final class DedupIndex(val config: DedupConfig) {
         val bad = i // the message closure captures a val, so the loop counter stays unboxed
         require(bad == dim, s"tensor ${t.name} (id ${t.id}): block ${b.ref.blockId} " +
           s"has the non-finite weight ${data(bad)} at position $bad")
-        require(b.ref.tensorId == t.id, s"tensor ${t.name} (id ${t.id}) holds block ${b.ref} of another tensor")
       }
-      val order = t.blocks.indices.sortBy(t.blocks(_).ref.blockId)(DedupIndex.RowMajor)
-      var p = 1
-      while (p < order.size) {
-        val id = t.blocks(order(p)).ref.blockId
-        require(id != t.blocks(order(p - 1)).ref.blockId, s"tensor ${t.name} (id ${t.id}) repeats block $id")
-        p += 1
-      }
-      order
     }
     // The record and position of every block, by its index in `blocks`.
     val recordOf = new Array[TensorRecord](blocks.size)
     val positionOf = new Array[Int](blocks.size)
     var offset = 0
-    for ((t, order) <- tensors.zip(rowMajor) if order.nonEmpty) {
-      val rec = new TensorRecord(order.map(t.blocks(_).ref).toArray)
+    for (t <- tensors if t.numBlocks > 0) {
+      val rec = new TensorRecord(t)
       records(t.id) = rec
       var p = 0
-      while (p < order.size) { recordOf(offset + order(p)) = rec; positionOf(offset + order(p)) = p; p += 1 }
-      offset += t.blocks.size
+      while (p < t.numBlocks) { recordOf(offset + p) = rec; positionOf(offset + p) = p; p += 1 }
+      offset += t.numBlocks
     }
     // Current weight assignment for this model, mutated as blocks merge. It
     // is the oracle's lookup, so it is kept only when there is an oracle.
@@ -341,64 +315,45 @@ final class DedupIndex(val config: DedupConfig) {
   /** F: each live logical block reference -> index of its distinct block in L. */
   def mapping: Map[BlockRef, Int] = {
     val b = Map.newBuilder[BlockRef, Int]
-    for (rec <- records.valuesIterator) rec.foreachLive(p => b += rec.refs(p) -> rec.lIdx(p))
+    for (rec <- records.valuesIterator) {
+      var p = 0
+      while (p < rec.refs.length) { b += rec.refs(p) -> rec.lIdx(p); p += 1 }
+    }
     b.result()
   }
 
-  /** F per live tensor: the L index of each of its live logical blocks, in
+  /** F per live tensor: the L index of each of its logical blocks, in
     * row-major `BlockId` order (duplicates kept).
     */
-  def logicalItems: Map[Int, Vector[Int]] = records.iterator.map { case (t, rec) =>
-    val items = Vector.newBuilder[Int]
-    rec.foreachLive(items += rec.lIdx(_))
-    t -> items.result()
-  }.toMap
+  def logicalItems: Map[Int, Vector[Int]] = records.iterator.map { case (t, rec) => t -> rec.lIdx.toVector }.toMap
 
   def numGroups: Int = groups.size
   def numDistinct: Int = distinctBuf.size
   def avgProbeSeconds: Double = if (probesTotal == 0) 0 else probeNanosTotal / 1e9 / probesTotal
 
-  /** Live-member count of the group containing `ref` (tests/diagnostics). */
-  def groupSizeOf(ref: BlockRef): Option[Int] = records.get(ref.tensorId).flatMap { rec =>
-    val p = rec.positionOf(ref.blockId)
-    if (p < 0 || rec.group(p) == null) None else Some(rec.group(p).live)
-  }
-
-  /** Remove one logical block (Sec. 4.3 Removal): drop it from its group;
-    * the representative never changes; a group left with no live block
-    * disappears with its index keys. A tensor whose last block goes is no
-    * longer live and may be added again.
+  /** Live-member count of the group containing `ref`, or None when no live
+    * tensor has a block at `ref` (tests/diagnostics).
     */
-  def removeBlock(ref: BlockRef): Boolean = records.get(ref.tensorId) match {
-    case None => false
-    case Some(rec) =>
-      val p = rec.positionOf(ref.blockId)
-      if (p < 0 || rec.group(p) == null) false
-      else {
-        release(rec.group(p))
-        rec.group(p) = null
-        rec.live -= 1
-        if (rec.live == 0) records.remove(ref.tensorId)
-        true
-      }
+  def groupSizeOf(ref: BlockRef): Option[Int] = records.get(ref.tensorId).flatMap { rec =>
+    val p = Tensor.position(ref.blockId, rec.rows, rec.cols)
+    if (p < 0) None else Some(rec.group(p).live)
   }
 
-  /** Remove every block of a tensor (model removal = per-tensor removal).
-    * @return how many live blocks it had
+  /** Remove every block of a tensor (Sec. 3, model removal is per-tensor
+    * removal): each leaves its group; the representative never changes; a
+    * group left with no live block disappears with its index keys. The
+    * tensor may then be added again.
+    * @return how many blocks it had, or 0 when it was not live
     */
   def removeTensor(tensorId: Int): Int = records.remove(tensorId) match {
     case None => 0
     case Some(rec) =>
-      rec.group.foreach(g => if (g != null) release(g))
-      rec.live
+      rec.group.foreach(release)
+      rec.group.length
   }
 }
 
 object DedupIndex {
-  /** Row-major order of block positions. */
-  private val RowMajor: Ordering[BlockId] = (a, b) =>
-    if (a.row != b.row) Integer.compare(a.row, b.row) else Integer.compare(a.col, b.col)
-
   private val NoKeys = new Array[BandKey](0)
 
   /** The indices of `keys` ordered by key in `java.lang.Double.compare` order,

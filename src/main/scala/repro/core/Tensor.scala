@@ -16,9 +16,9 @@ final case class BlockRef(tensorId: Int, blockId: BlockId)
   * `data` holds the block's real weight values (scaled down from the paper's
   * 8 MB blocks — see DESIGN.md §2); all similarity, LSH, magnitude, and
   * accuracy computations operate on it. `virtualBytes` is the block's
-  * paper-scale physical size, used by the page/packing/caching layers so
-  * that storage experiments run at the paper's true working-set scale
-  * without allocating it.
+  * paper-scale physical size; only `Tensor.virtualBytes` and
+  * `Model.virtualBytes` sum it. Pages are sized by `PageStore.pageBytes` and
+  * hold at most `l` blocks, whatever the blocks' sizes.
   */
 final case class TensorBlock(ref: BlockRef, data: Array[Double], virtualBytes: Long) {
 
@@ -40,22 +40,54 @@ final case class TensorBlock(ref: BlockRef, data: Array[Double], virtualBytes: L
 /** A tensor: a grid of `rowBlocks x colBlocks` blocks of equal shape.
   *
   * Mirrors the paper's TRA representation where a tensor is a set of tensor
-  * blocks carrying their grid position as metadata.
+  * blocks carrying their grid position as metadata. `blocks` is the grid in
+  * row-major order: block `i` carries `BlockRef(id, BlockId(i / colBlocks,
+  * i % colBlocks))`, which the constructor checks (and so does `copy`). Every
+  * consumer may therefore read block `i` as grid position `i`.
   */
 final case class Tensor(id: Int, name: String, rowBlocks: Int, colBlocks: Int,
                         blocks: Vector[TensorBlock]) {
-  require(blocks.size == rowBlocks * colBlocks,
-    s"tensor $name: ${blocks.size} blocks != grid $rowBlocks x $colBlocks")
+  require(rowBlocks >= 0 && colBlocks >= 0 && blocks.size.toLong == rowBlocks.toLong * colBlocks,
+    s"tensor $name (id $id): ${blocks.size} blocks != grid $rowBlocks x $colBlocks")
+  locally {
+    val bad = Tensor.firstMisplaced(id, colBlocks, blocks)
+    require(bad == blocks.size, s"tensor $name (id $id): block $bad carries ${blocks(bad).ref}, " +
+      s"row-major order needs ${BlockRef(id, BlockId(bad / colBlocks, bad % colBlocks))}")
+  }
 
   def numBlocks: Int = blocks.size
 
-  def block(row: Int, col: Int): TensorBlock = blocks(row * colBlocks + col)
+  def block(row: Int, col: Int): TensorBlock = {
+    val p = Tensor.position(BlockId(row, col), rowBlocks, colBlocks)
+    require(p >= 0, s"tensor $name (id $id): block ($row, $col) lies outside the grid $rowBlocks x $colBlocks")
+    blocks(p)
+  }
 
   /** Total paper-scale physical size of the tensor. */
   def virtualBytes: Long = blocks.iterator.map(_.virtualBytes).sum
 }
 
 object Tensor {
+
+  /** Position in a row-major grid of `rows x cols` blocks of `id`, or -1 when
+    * `id` lies outside the grid.
+    */
+  def position(id: BlockId, rows: Int, cols: Int): Int =
+    if (id.row >= 0 && id.row < rows && id.col >= 0 && id.col < cols) id.linear(cols) else -1
+
+  /** The first index whose block does not carry its row-major ref, else
+    * `blocks.size`. Compares fields, so it allocates nothing per block.
+    */
+  private def firstMisplaced(id: Int, cols: Int, blocks: Vector[TensorBlock]): Int = {
+    val it = blocks.iterator
+    var i = 0
+    while (it.hasNext) {
+      val ref = it.next().ref
+      if (ref.tensorId != id || ref.blockId.row != i / cols || ref.blockId.col != i % cols) return i
+      i += 1
+    }
+    i
+  }
 
   /** Build a tensor from a generator of per-block vectors.
     *
@@ -72,30 +104,5 @@ object Tensor {
       TensorBlock(BlockRef(id, BlockId(r, c)), d, virtualBytes)
     }
     Tensor(id, name, rowBlocks, colBlocks, blocks)
-  }
-
-  /** Split a small dense matrix into blocks of shape (brows x bcols), padding
-    * the ragged right/bottom edges with zeros. Used by unit tests and the
-    * Spark TRA layer; paper-scale tensors are generated blockwise instead.
-    */
-  def fromMatrix(id: Int, name: String, m: Array[Array[Double]], brows: Int, bcols: Int,
-                 virtualBytes: Long = 0L): Tensor = {
-    val rows = m.length; val cols = if (rows == 0) 0 else m(0).length
-    val rb = math.max(1, (rows + brows - 1) / brows)
-    val cb = math.max(1, (cols + bcols - 1) / bcols)
-    tabulate(id, name, rb, cb, brows * bcols, virtualBytes) { (r, c) =>
-      val out = new Array[Double](brows * bcols)
-      var i = 0
-      while (i < brows) {
-        var j = 0
-        while (j < bcols) {
-          val gr = r * brows + i; val gc = c * bcols + j
-          if (gr < rows && gc < cols) out(i * bcols + j) = m(gr)(gc)
-          j += 1
-        }
-        i += 1
-      }
-      out
-    }
   }
 }

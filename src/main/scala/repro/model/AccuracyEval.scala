@@ -1,6 +1,6 @@
 package repro.model
 
-import repro.core.{BlockId, BlockRef, ModelAccuracy}
+import repro.core.{BlockRef, ModelAccuracy, Tensor}
 import repro.model.ModelGen.{EmbeddingFamily, EmbeddingShape}
 import scala.util.Random
 
@@ -38,9 +38,9 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
   }
 
   /** The forward kernel: logit of one example, where `blocks(i)` holds the
-    * data of the block at dense index `i` (row-block * colBlocks + col-block)
-    * of the model's primary tensor. Only the blocks the example reads are
-    * touched.
+    * data of block `i` of the model's primary tensor, which sits at grid
+    * position (i / colBlocks, i % colBlocks). Only the blocks the example
+    * reads are touched.
     */
   private def logit(example: Array[Int], blocks: Array[Array[Double]],
                     head: Array[Double], bias: Double): Double = {
@@ -73,13 +73,22 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
     read.indices.filter(read(_)).toArray
   }
 
-  private def refOf(tensorId: Int, i: Int): BlockRef =
-    BlockRef(tensorId, BlockId(i / shape.colBlocks, i % shape.colBlocks))
+  /** The model's primary tensor, whose block `i` the kernel reads as dense
+    * index `i`; so its grid must be the family's.
+    */
+  private def primaryOf(model: Model): Tensor = {
+    val t = model.primary
+    require(t.rowBlocks == shape.rowBlocks && t.colBlocks == shape.colBlocks,
+      s"model ${model.name} (id ${model.id}): primary tensor ${t.name} has grid ${t.rowBlocks} x ${t.colBlocks}, " +
+        s"the family's grid is ${shape.rowBlocks} x ${shape.colBlocks}")
+    t
+  }
 
   /** Every example's logit under a block-data lookup: one full forward pass. */
   private def logits(model: Model, lookup: BlockRef => Array[Double]): Array[Double] = {
+    val primary = primaryOf(model)
     val blocks = new Array[Array[Double]](shape.numBlocks)
-    footprint.foreach(i => blocks(i) = lookup(refOf(model.primary.id, i)))
+    footprint.foreach(i => blocks(i) = lookup(primary.blocks(i).ref))
     examples.map(logit(_, blocks, model.head, model.bias))
   }
 
@@ -109,8 +118,6 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
   }
 
   /** Typical |logit| magnitude, used to express label noise relatively. */
-  def logitScale(model: Model): Double = scaleOf(originalLogits(model))
-
   private def scaleOf(ls: Array[Double]): Double = {
     val abs = ls.take(200).map(math.abs)
     abs.sum / abs.length
@@ -130,7 +137,10 @@ final class AccuracyEval(family: EmbeddingFamily, numExamples: Int = 1500,
 
   private final class Session(model: Model, lbls: Array[Boolean]) extends ModelAccuracy {
     private val fp = footprint
-    private val refs = fp.map(refOf(model.primary.id, _))
+    private val refs = {
+      val primary = primaryOf(model)
+      fp.map(primary.blocks(_).ref)
+    }
     private val blocks = new Array[Array[Double]](shape.numBlocks)
     private val ls = new Array[Double](examples.length)
     private val dirty = Array.fill(examples.length)(true)

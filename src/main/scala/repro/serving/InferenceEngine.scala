@@ -49,7 +49,7 @@ final class InferenceEngine(store: PageStore, cfg: ServingConfig,
   private def describe(id: PageId): PageMeta = {
     val sharers = store.owners(id).map(t => tensorToModel.getOrElse(t, t))
     val set = if (store.isShared(id)) "shared" else s"weights-${sharers.head}"
-    PageMeta(store.page(id).bytes, set, sharers)
+    PageMeta(store.pageBytes, set, sharers)
   }
 
   /** Serve one inference batch on every listed model, in order; pages flow

@@ -6,8 +6,10 @@ import scala.collection.mutable
 /** Global physical page identifier. */
 final case class PageId(value: Int) extends AnyVal
 
-/** One stored page: the distinct-block items it holds and its size. */
-final case class StoredPage(id: PageId, items: Set[Int], bytes: Long)
+/** One stored page: the distinct-block items it holds. Every page of a store
+  * has the store's `pageBytes`.
+  */
+final case class StoredPage(id: PageId, items: Set[Int])
 
 /** The tensor-aware page store (Sec. 3). It keeps one fact per page: the
   * tensors that own it. A page with one owner is that tensor's private page,
@@ -34,7 +36,7 @@ final class PageStore(val pageBytes: Long) {
   def load(packing: Packing, problem: Problem): Unit = {
     require(live == 0 && pagesOfTensor.isEmpty, "load expects an empty store")
     val distinct = packing.distinctPages
-    pages = Array.tabulate(distinct.size)(i => StoredPage(PageId(i), distinct(i), pageBytes))
+    pages = Array.tabulate(distinct.size)(i => StoredPage(PageId(i), distinct(i)))
     ownersOf = Array.fill(distinct.size)(Set.empty[Int])
     live = distinct.size
     for (t <- problem.tensors.keys) {
@@ -55,7 +57,7 @@ final class PageStore(val pageBytes: Long) {
   }
   def allPages: Vector[StoredPage] = pages.iterator.filter(_ != null).toVector
   def numPages: Int = live
-  def totalBytes: Long = allPages.map(_.bytes).sum
+  def totalBytes: Long = numPages * pageBytes
 
   def owners(id: PageId): Set[Int] = if (ownersOf.isDefinedAt(id.value)) ownersOf(id.value) else Set.empty
   def refCount(id: PageId): Int = owners(id).size

@@ -9,8 +9,8 @@ import repro.model.ModelGen.EmbeddingShape
 
 /** `DedupIndex` (F kept per tensor, `BandKey` index keys, a primitive exam
   * sort) against `ReferenceDedupIndex` (F keyed by logical block, string
-  * index keys, a boxed exam sort): the same random sequence of adds, removals
-  * and re-adds must leave both with the same stats, F, owners, groups,
+  * index keys, a boxed exam sort): the same random sequence of adds, model
+  * removals and re-adds must leave both with the same stats, F, owners, groups,
   * packing problem and online packing after every step. A band key that
   * collided where the string key does not, or the reverse, shows as a
   * different merge.
@@ -51,7 +51,6 @@ class DedupDifferentialSpec extends AnyFunSuite {
     Gen.frequency(
       3 -> Gen.zip(pick, oracle).map { case (i, (g, p)) => Add(i, g, p) },
       2 -> pick.map(RemoveModel(_)),
-      3 -> Gen.zip(pick, pick).map { case (i, b) => RemoveBlock(i, b) },
       2 -> Gen.zip(pick, oracle).map { case (i, (g, p)) => ReAdd(i, g, p) })
   }
 
@@ -98,10 +97,6 @@ class DedupDifferentialSpec extends AnyFunSuite {
           case RemoveModel(i) if live.nonEmpty =>
             for (t <- live(i % live.size).tensors)
               assert(idx.removeTensor(t.id) == ref.removeTensor(t.id), s"step $s: $step, tensor ${t.id}")
-          case RemoveBlock(i, b) if live.nonEmpty =>
-            val blocks = live(i % live.size).tensors.flatMap(_.blocks)
-            val r = blocks(b % blocks.size).ref
-            assert(idx.removeBlock(r) == ref.removeBlock(r), s"step $s: $step, $r")
           case _ => ()
         }
         // A live model cannot be added again, and the rejection changes nothing.
@@ -158,8 +153,6 @@ object DedupDifferentialSpec {
   private final case class Add(pick: Int, gated: Boolean, penalty: Double) extends Step
   /** Remove every tensor of a live model. */
   private final case class RemoveModel(pick: Int) extends Step
-  /** Remove one block of a live model (possibly one already removed). */
-  private final case class RemoveBlock(pick: Int, block: Int) extends Step
   /** Add again a model none of whose tensors is live. */
   private final case class ReAdd(pick: Int, gated: Boolean, penalty: Double) extends Step
 }

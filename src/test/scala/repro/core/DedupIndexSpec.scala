@@ -170,24 +170,44 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(idx.mapping.contains(BlockRef(2, BlockId(0, 0))))
   }
 
-  test("removeBlock drops membership; sole groups disappear") {
-    val t1 = mkTensor(1, Seq(vec(1)))
+  test("removeTensor: a sole group leaves together with its index keys") {
+    val a = vec(1)
     val idx = Detectors.proposed(dim)
-    idx.addModel(Seq(t1), None)
+    idx.addModel(Seq(mkTensor(1, Seq(a))), None)
     assert(idx.numGroups == 1)
-    assert(idx.removeBlock(BlockRef(1, BlockId(0, 0))))
-    assert(idx.numGroups == 0)
-    assert(!idx.removeBlock(BlockRef(1, BlockId(0, 0)))) // already gone
+    assert(idx.removeTensor(1) == 1)
+    assert(idx.numGroups == 0 && idx.groupSizeOf(BlockRef(1, BlockId(0, 0))).isEmpty)
+    assert(idx.removeTensor(1) == 0) // already gone
+    // A key left behind would merge the same content into the dead group.
+    assert(idx.addModel(Seq(mkTensor(2, Seq(a.clone()))), None).merged == 0)
+    assert(idx.numGroups == 1)
   }
 
-  test("removeBlock keeps the group when other members remain") {
+  test("removeTensor keeps a shared group and its representative") {
     val shared = vec(4)
-    val t1 = mkTensor(1, Seq(shared)); val t2 = mkTensor(2, Seq(shared.clone()))
     val idx = Detectors.proposed(dim)
-    idx.addModel(Seq(t1), None); idx.addModel(Seq(t2), None)
-    assert(idx.removeBlock(BlockRef(2, BlockId(0, 0))))
+    idx.addModel(Seq(mkTensor(1, Seq(shared))), None)
+    idx.addModel(Seq(mkTensor(2, Seq(shared.clone()))), None)
+    val rep = idx.mapping(BlockRef(2, BlockId(0, 0)))
+    assert(idx.distinct(rep).ref == BlockRef(1, BlockId(0, 0)))
+    // Removing the tensor whose block is the representative keeps the group.
+    assert(idx.removeTensor(1) == 1)
     assert(idx.numGroups == 1)
-    assert(idx.groupSizeOf(BlockRef(1, BlockId(0, 0))).contains(1))
+    assert(idx.groupSizeOf(BlockRef(2, BlockId(0, 0))).contains(1))
+    assert(idx.mapping == Map(BlockRef(2, BlockId(0, 0)) -> rep))
+    assert(idx.addModel(Seq(mkTensor(3, Seq(shared.clone()))), None).merged == 1)
+    assert(idx.mapping(BlockRef(3, BlockId(0, 0))) == rep)
+  }
+
+  test("groupSizeOf answers only inside a live tensor's grid") {
+    val t = Tensor.tabulate(1, "t1", 2, 2, dim, 8L)((r, c) => vec(10 * r + c))
+    val idx = Detectors.proposed(dim)
+    idx.addModel(Seq(t), None)
+    assert(t.blocks.forall(b => idx.groupSizeOf(b.ref).contains(1)))
+    // Each of these has the row-major index of an in-grid position.
+    for (id <- Seq(BlockId(0, 2), BlockId(-1, 3), BlockId(1, -1), BlockId(2, -2), BlockId(2, 0)))
+      assert(idx.groupSizeOf(BlockRef(1, id)).isEmpty, id)
+    assert(idx.groupSizeOf(BlockRef(2, BlockId(0, 0))).isEmpty)
   }
 
   test("removeTensor removes every block of that tensor") {
@@ -319,16 +339,12 @@ class DedupIndexSpec extends AnyFunSuite {
     assert(message(Gate(checkEvery = 5, maxDrop = Double.NaN)).contains("maxDrop = NaN"))
   }
 
-  test("addModel rejects a tensor listed twice, a foreign block and a repeated position") {
+  test("addModel rejects a tensor listed twice in the model") {
     val idx = Detectors.mistiqueExact()
     idx.addModel(Seq(mkTensor(1, Seq(vec(1)))), None)
     val before = state(idx)
     val twice = intercept[IllegalArgumentException](idx.addModel(Seq(mkTensor(2, Seq(vec(2))), mkTensor(2, Seq(vec(3)))), None))
     assert(twice.getMessage.contains("id 2") && twice.getMessage.contains("twice"), twice.getMessage)
-    val foreign = Tensor(3, "t3", 1, 1, Vector(TensorBlock(BlockRef(4, BlockId(0, 0)), vec(4), 8L)))
-    assert(intercept[IllegalArgumentException](idx.addModel(Seq(foreign), None)).getMessage.contains("another tensor"))
-    val repeated = Tensor(5, "t5", 2, 1, Vector.fill(2)(TensorBlock(BlockRef(5, BlockId(0, 0)), vec(5), 8L)))
-    assert(intercept[IllegalArgumentException](idx.addModel(Seq(repeated), None)).getMessage.contains("repeats"))
     assert(state(idx) == before)
   }
 

@@ -179,7 +179,7 @@ final class ReferenceDedupIndex(val config: DedupConfig) {
     * the representative never changes; a group whose sole remaining member
     * was the representative's own ref disappears with it.
     */
-  def removeBlock(ref: BlockRef): Boolean = refToGroup.remove(ref) match {
+  private def removeBlock(ref: BlockRef): Boolean = refToGroup.remove(ref) match {
     case None => false
     case Some(g) =>
       g.members -= ref

@@ -19,6 +19,7 @@ class TensorSpec extends AnyFunSuite {
     assert(t.block(1, 2).ref == BlockRef(7, BlockId(1, 2)))
     assert(t.block(1, 2).data.toSeq == Seq(1.0, 2.0))
     assert(t.blocks(5) == t.block(1, 2))
+    intercept[IllegalArgumentException](t.block(0, 3))
   }
 
   test("tabulate rejects wrong-dimension generators") {
@@ -36,6 +37,18 @@ class TensorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       Tensor(1, "bad", 2, 2, Vector(blk(1, 0, 0, Array(1.0))))
     }
+  }
+
+  test("constructor rejects a foreign ref and a repeated position, naming the index and the ref") {
+    def message(f: => Any): String = intercept[IllegalArgumentException](f).getMessage
+    val foreign = message(Tensor(3, "t3", 1, 1, Vector(blk(4, 0, 0, Array(1.0)))))
+    assert(foreign.contains(s"tensor t3 (id 3): block 0 carries ${BlockRef(4, BlockId(0, 0))}, " +
+      s"row-major order needs ${BlockRef(3, BlockId(0, 0))}"), foreign)
+    val repeated = message(Tensor(5, "t5", 2, 1, Vector.fill(2)(blk(5, 0, 0, Array(1.0)))))
+    assert(repeated.contains(s"block 1 carries ${BlockRef(5, BlockId(0, 0))}"), repeated)
+    // Copying a tensor runs the same check.
+    val t = Tensor.tabulate(6, "t6", 1, 2, 1, 8L)((_, c) => Array(c.toDouble))
+    assert(message(t.copy(blocks = t.blocks.reverse)).contains(s"block 0 carries ${BlockRef(6, BlockId(0, 1))}"))
   }
 
   test("l2 distance is euclidean and symmetric") {
@@ -64,21 +77,5 @@ class TensorSpec extends AnyFunSuite {
     val a = blk(1, 0, 0, Array(1.0, 2.0))
     val b = blk(1, 0, 0, Array(1.0, 2.0, 0.0))
     assert(!a.sameContent(b))
-  }
-
-  test("fromMatrix splits exactly-divisible matrices") {
-    val m = Array.tabulate(4, 6)((i, j) => (i * 6 + j).toDouble)
-    val t = Tensor.fromMatrix(3, "m", m, 2, 3)
-    assert(t.rowBlocks == 2 && t.colBlocks == 2)
-    // block (1,1) covers rows 2-3, cols 3-5
-    assert(t.block(1, 1).data.toSeq == Seq(15.0, 16.0, 17.0, 21.0, 22.0, 23.0))
-  }
-
-  test("fromMatrix zero-pads ragged edges") {
-    val m = Array.tabulate(3, 5)((i, j) => 1.0 + i + j)
-    val t = Tensor.fromMatrix(4, "m", m, 2, 3)
-    assert(t.rowBlocks == 2 && t.colBlocks == 2)
-    val edge = t.block(1, 1) // covers rows 2 (then pad), cols 3-4 (then pad)
-    assert(edge.data.toSeq == Seq(m(2)(3), m(2)(4), 0.0, 0.0, 0.0, 0.0))
   }
 }

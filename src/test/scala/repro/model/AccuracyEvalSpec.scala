@@ -82,6 +82,18 @@ class AccuracyEvalSpec extends AnyFunSuite {
     assert(base - acc < 0.03, s"drift cost too much: $base -> $acc")
   }
 
+  test("labels, accuracy and session reject a model whose grid is not the family's") {
+    // 8 x 4 has the family's 32 blocks, so a kernel indexing blocks densely would read it silently.
+    val other = textClassFamily(shape.copy(rowBlocks = 8, colBlocks = 4))._2.head
+    val lbls = eval.labels(models(0), 0.05)
+    for (call <- Seq[() => Any](() => eval.labels(other, 0.05), () => eval.accuracy(other, lbls, origLookup(other)),
+         () => eval.session(other, lbls))) {
+      val e = intercept[IllegalArgumentException](call())
+      assert(e.getMessage.contains(s"model ${other.name} (id ${other.id}): primary tensor ${other.primary.name} " +
+        "has grid 8 x 4, the family's grid is 16 x 2"), e.getMessage)
+    }
+  }
+
   test("labels equal the per-example scale formula for word2vec and textClass models") {
     val evalSeed = 77L
     for ((fam, ms) <- Seq(word2vecFamily(2), textClassFamily())) {
@@ -90,12 +102,6 @@ class AccuracyEvalSpec extends AnyFunSuite {
         val expected = ReferenceForward.labels(ev, fam.shape, m, noise, evalSeed)
         assert(ev.labels(m, noise).toSeq == expected.toSeq, s"${m.name} noise $noise")
       }
-      assert(ev.logitScale(ms.head) == ReferenceForward.logitScale(ev, fam.shape, ms.head))
     }
-  }
-
-  test("logitScale is positive and deterministic") {
-    val s1 = eval.logitScale(models(2)); val s2 = eval.logitScale(models(2))
-    assert(s1 > 0 && s1 == s2)
   }
 }

@@ -19,7 +19,7 @@ class ServingDifferentialSpec extends AnyFunSuite {
     val pool = new ReferenceBufferPool(cfg.poolBytes - cfg.pinnedBytesPerModel, cfg.policy, cfg.device)
     def describe(id: PageId): PageMeta = {
       val sharers = store.owners(id).map(t => b.tensorToModel.getOrElse(t, t))
-      PageMeta(store.page(id).bytes, if (store.isShared(id)) "shared" else s"weights-${sharers.head}", sharers)
+      PageMeta(store.pageBytes, if (store.isShared(id)) "shared" else s"weights-${sharers.head}", sharers)
     }
     val inputMeta = PageMeta(store.pageBytes, "input", models.toSet)
     for (m <- models) {
